@@ -41,7 +41,6 @@ from .simfeatures import (
     directed_interactions,
     jaccard_entities,
     jaccard_neighbors,
-    k_nearest,
     neighborhood_overlap,
     parse_feature_id,
     preferential_attachment,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Mapping
 
@@ -37,6 +38,12 @@ class InteractionGraph:
 
     def degree(self, user: str) -> int:
         return len(self._adjacency.get(user, _EMPTY))
+
+    @cached_property
+    def by_degree(self) -> list[tuple[str, int]]:
+        """Non-isolated vertices with their degree, highest degree first, ties by id."""
+        ranked = sorted((-self.degree(u), u) for u in self.vertices)
+        return [(u, -d) for d, u in ranked if d]
 
     def weight(self, u: str, v: str) -> int:
         """Edge weight between two users, 0 if no edge exists."""

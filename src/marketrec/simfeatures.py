@@ -12,8 +12,11 @@ interaction graph, neighbourhood overlap). See ALL_FEATURE_IDS.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import AbstractSet, Optional
 
 from .corpus import Corpus, entity_sets
@@ -212,7 +215,7 @@ class SimilarityContext:
         return self._entity_sets[kind]
 
     def entity_index(self, kind: str) -> dict[str, set[str]]:
-        """Inverted index entity id -> users holding it, for candidate pruning."""
+        """Inverted index entity id -> users holding it, for counting shared entities."""
         if kind not in self._entity_index:
             index: dict[str, set[str]] = {}
             for user, values in self.entity_sets(kind).items():
@@ -223,11 +226,7 @@ class SimilarityContext:
 
     def directed_count(self, actor: str, target: str) -> int:
         if self._directed is None:
-            counts: dict[tuple[str, str], int] = {}
-            for s in self.corpus.social:
-                key = (s.actor, s.target)
-                counts[key] = counts.get(key, 0) + 1
-            self._directed = counts
+            self._directed = Counter((s.actor, s.target) for s in self.corpus.social)
         return self._directed.get((actor, target), 0)
 
     def score(self, spec: FeatureSpec | str, u: str, v: str) -> float:
@@ -274,52 +273,45 @@ class SimilarityContext:
             raise UnknownUserError(target)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        scored = []
-        for candidate in self._candidates(spec, target):
-            sim = self.score(spec, target, candidate)
-            if sim > 0:
-                scored.append((candidate, sim))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return SimilarityMatrixSlice(target=target, scored=tuple(scored[:k]))
+        best = heapq.nsmallest(k, ((-s, v) for v, s in self._scores(spec, target, k).items()))
+        return SimilarityMatrixSlice(target=target, scored=tuple((v, -s) for s, v in best))
 
-    def _candidates(self, spec: FeatureSpec, target: str):
-        """Superset of users that can score > 0 against the target.
-
-        A target with no data for the feature yields no candidates at all,
-        even under features (total entities, preferential attachment) whose
-        formula would score positively against it.
-        """
+    def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str, float]:
+        """Positive scores, bit-identical to score(), of every user that can make the top-k."""
         if spec.family == "content":
-            own = self.entity_sets(spec.entity_kind).get(target, frozenset())
-            if not own:
-                return ()
-            if spec.feature == "total_entities":
-                return (u for u in self.corpus.users if u != target)
+            sets = self.entity_sets(spec.entity_kind)
+            own = sets.get(target, frozenset())
             index = self.entity_index(spec.entity_kind)
-            found: set[str] = set()
-            for entity in own:
-                found.update(index.get(entity, ()))
-            found.discard(target)
-            return found
-        graph = self.graph(spec.graph)
-        direct = graph.neighbors(target)
-        if not direct:
-            return ()
-        if spec.feature == "directed_interactions":
-            return direct
-        if spec.feature == "preferential_attachment":
-            return (u for u in graph.vertices if u != target and graph.degree(u) > 0)
-        found = set()
-        for z in direct:
-            found.update(graph.neighbors(z))
-        found.discard(target)
-        return found
-
-
-def k_nearest(
-    context: SimilarityContext,
-    feature: FeatureSpec | str,
-    target: str,
-    k: int = DEFAULT_K,
-) -> SimilarityMatrixSlice:
-    return context.k_nearest(feature, target, k)
+            shared = Counter(chain.from_iterable(index[entity] for entity in own))
+            size = lambda v: len(sets.get(v, ()))  # noqa: E731
+        else:
+            graph = self.graph(spec.graph)
+            own = graph.neighbors(target)
+            if spec.feature == "directed_interactions":
+                count = self.directed_count
+                return {v: float(max(count(target, v), count(v, target))) for v in own}
+            if spec.feature == "preferential_attachment":
+                ranked = (entry for entry in graph.by_degree if entry[0] != target)
+                return {v: float(len(own) * d) for v, d in islice(ranked, k)} if own else {}
+            if spec.feature == "adamic_adar":
+                # z in sorted order adds each pair's terms in adamic_adar()'s order
+                scores: dict[str, float] = {}
+                for z in sorted(own):
+                    if graph.degree(z) > 1:
+                        weight = 1.0 / math.log(graph.degree(z))
+                        for v in graph.neighbors(z):
+                            scores[v] = scores.get(v, 0.0) + weight
+                scores.pop(target, None)
+                return scores
+            shared = Counter(chain.from_iterable(graph.neighbors(z) for z in own))
+            size = graph.degree
+        del shared[target]
+        n = len(own)
+        if spec.feature in ("common_entities", "common_neighbors"):
+            return {v: float(c) for v, c in shared.items()}
+        if spec.feature in ("jaccard_entities", "jaccard_neighbors"):
+            return {v: c / (n + size(v) - c) for v, c in shared.items()}
+        if spec.feature == "neighborhood_overlap":
+            return {v: c / (n + size(v)) for v, c in shared.items()}
+        # total entities: unless the target has none, every other user scores
+        return {v: float(n + size(v) - shared[v]) for v in self.corpus.users - {target}} if n else {}

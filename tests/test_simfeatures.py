@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from marketrec.graphs import InteractionGraph, build_social_graph
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
+    DEFAULT_K,
     FeatureSpec,
     SimilarityContext,
     UnknownFeatureError,
@@ -16,7 +18,6 @@ from marketrec.simfeatures import (
     directed_interactions,
     jaccard_entities,
     jaccard_neighbors,
-    k_nearest,
     neighborhood_overlap,
     parse_feature_id,
     preferential_attachment,
@@ -226,17 +227,56 @@ def test_k_nearest_tie_break_ascending_id():
     corpus = make_corpus(
         purchases=[
             ("t", "p1"), ("t", "p2"),
+            ("d", "p1"), ("d", "p2"),
             ("b", "p1"), ("b", "p2"),
             ("a", "p1"), ("a", "p2"),
-            ("c", "p1"),
+            ("c", "p1"), ("c", "p2"),
+            ("e", "p1"),
         ],
         products=[("p1", "s", ()), ("p2", "s", ())],
     )
     context = SimilarityContext(corpus)
     slice_ = context.k_nearest("mp.purchases.common", "t", 2)
-    # sims: a=2, b=2, c=1; ties resolved lexicographically
+    # sims: a=b=c=d=2, e=1; k ends inside the tie group, smaller ids are kept
     assert slice_.users() == ("a", "b")
     assert [s for _, s in slice_.scored] == [2.0, 2.0]
+
+
+def test_k_nearest_total_tie_cut():
+    # unions with t: a=3 from the smaller set, b=3 from the larger one, c=2
+    corpus = make_corpus(
+        products=[(f"p{i}", "s", ()) for i in range(1, 7)],
+        purchases=[
+            ("t", "p1"),
+            ("b", "p1"), ("b", "p2"), ("b", "p3"),
+            ("a", "p4"), ("a", "p5"),
+            ("c", "p6"),
+        ],
+    )
+    context = SimilarityContext(corpus)
+    assert context.k_nearest("mp.purchases.total", "t", 1).scored == (("a", 3.0),)
+    assert context.k_nearest("mp.purchases.total", "t", 2).scored == (("a", 3.0), ("b", 3.0))
+
+
+def test_k_nearest_common_neighbours_tie_cut():
+    edges = [("t", "z1"), ("t", "z2"), ("e", "z1")]
+    edges += [(u, z) for u in "dbca" for z in ("z1", "z2")]
+    context = SimilarityContext(make_corpus(social=[(u, v, "love") for u, v in edges]))
+    assert context.k_nearest("sn.graph.cn", "t", 2).scored == (("a", 2.0), ("b", 2.0))
+
+
+def test_k_nearest_preferential_attachment_by_degree():
+    # degrees: h=5; a, b, c, d=2; e=1; i is isolated
+    edges = [("h", u) for u in "dcbae"] + [("a", "b"), ("c", "d")]
+    corpus = make_corpus(social=[(u, v, "love") for u, v in edges], extra_users=("i",))
+    context = SimilarityContext(corpus)
+    # k ends inside the group of equal degrees
+    assert context.k_nearest("sn.graph.pa", "e", 3).scored == (("h", 5.0), ("a", 2.0), ("b", 2.0))
+    # the highest-degree target is skipped without shortening the list
+    assert context.k_nearest("sn.graph.pa", "h", 2).scored == (("a", 10.0), ("b", 10.0))
+    # k beyond the non-isolated vertices returns all of them, never "i"
+    assert context.k_nearest("sn.graph.pa", "h", 100).users() == ("a", "b", "c", "d", "e")
+    assert context.k_nearest("sn.graph.pa", "i", 100).scored == ()
 
 
 def test_k_nearest_keeps_only_positive_and_truncates():
@@ -263,11 +303,6 @@ def test_directed_symmetrized_for_neighbourhoods():
     assert context.k_nearest("sn.graph.directed", "a", 5).scored == (("b", 2.0), ("c", 1.0))
     # the pure feature stays one-directional
     assert directed_interactions(corpus, "a", "c") == 0
-
-
-def test_module_level_wrapper():
-    context = _toy_context()
-    assert k_nearest(context, "mp.purchases.common", "u1", 1).users() == ("u2",)
 
 
 def test_k_nearest_matches_bruteforce_oracle(small_corpus):
@@ -328,3 +363,36 @@ def test_context_scores_match_oracle_all_features(small_corpus):
                 assert context.score(f"sn.graph.{suffix}", u, v) == pytest.approx(want, abs=1e-12)
                 want = oracles.network_score(event_adj, u, v, suffix)
                 assert context.score(f"loc.graph.{suffix}", u, v) == pytest.approx(want, abs=1e-12)
+
+
+IDLE_USER = "zz-idle"
+
+
+@pytest.fixture(scope="module")
+def planted_context(planted_corpus):
+    """The planted corpus plus one user with no data for any feature."""
+    corpus = dataclasses.replace(
+        planted_corpus, users=planted_corpus.users | {IDLE_USER}, _profile_cache={}
+    )
+    return SimilarityContext(corpus)
+
+
+@pytest.mark.parametrize("feature_id", ALL_FEATURE_IDS)
+def test_k_nearest_equals_exact_pairwise_ranking(planted_context, feature_id):
+    """Exact ``==`` with score() over every pair: no tolerance on any float."""
+    spec = parse_feature_id(feature_id)
+    users = sorted(planted_context.corpus.users)
+    if spec.family == "content":
+        sets = planted_context.entity_sets(spec.entity_kind)
+        size = lambda user: len(sets.get(user, ()))  # noqa: E731
+    else:
+        size = planted_context.graph(spec.graph).degree
+    largest = min(users, key=lambda user: (-size(user), user))
+    for target in sorted({*users[::25], IDLE_USER, largest}):
+        ranking = sorted(
+            ((v, planted_context.score(spec, target, v)) for v in users if v != target),
+            key=lambda item: (-item[1], item[0]),
+        )
+        expected = tuple(item for item in ranking if item[1] > 0) if size(target) else ()
+        for k in sorted({1, len(expected) // 2 + 1, DEFAULT_K, len(expected) + 1}):
+            assert planted_context.k_nearest(spec, target, k).scored == expected[:k]
