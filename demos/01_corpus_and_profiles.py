@@ -1,14 +1,13 @@
-"""Loading a three-source corpus and reading user entity profiles.
+"""Loading a three-source corpus and reading per-user entity sets.
 
 Generates a small synthetic dataset, loads it back through the validating
-loader, and walks through the per-user profiles that all similarity features
-are built on.
+loader, and walks through the per-user entity sets that all content
+similarity features are built on.
 """
 
 import tempfile
 
-from marketrec import load_corpus, low_level_category, top_level_category
-from marketrec.corpus import build_entity_profiles
+from marketrec import entity_sets, load_corpus, low_level_category, top_level_category
 from marketrec.synth import SyntheticSpec, generate
 
 workdir = tempfile.mkdtemp(prefix="marketrec-demo-")
@@ -20,12 +19,12 @@ print(f"row counts: {manifest['counts']}")
 corpus = load_corpus(workdir)
 print(f"\nloaded {len(corpus.users)} users, {len(corpus.products)} products")
 
-# A profile is the deduplicated set of entities of one kind for one user.
+# An entity set is the deduplicated set of entities of one kind for one user.
 user = sorted(corpus.users)[0]
 for kind in ("purchases", "sellers", "categories", "groups", "favored_locations"):
-    profile = build_entity_profiles(corpus, kind)[user]
-    shown = ", ".join(sorted(profile.entities)[:6])
-    print(f"{user} {kind:18s} ({len(profile.entities):2d}): {shown}")
+    entities = entity_sets(corpus, kind)[user]
+    shown = ", ".join(sorted(entities)[:6])
+    print(f"{user} {kind:18s} ({len(entities):2d}): {shown}")
 
 # Category paths are ordered from the top of the hierarchy to the bottom.
 print("\nsample products:")

@@ -11,7 +11,6 @@ from .corpus import (
     CorpusError,
     DanglingReferenceError,
     DuplicateProductError,
-    EntityProfile,
     InterestTag,
     LocationRecord,
     MalformedRowError,
@@ -19,7 +18,6 @@ from .corpus import (
     Product,
     Purchase,
     SocialInteraction,
-    build_entity_profiles,
     entity_sets,
     load_corpus,
     load_corpus_paths,
@@ -27,7 +25,7 @@ from .corpus import (
     top_level_category,
     with_purchases,
 )
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, neighbors
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 from .simfeatures import (
     ALL_FEATURE_IDS,
     FeatureSpec,
@@ -51,7 +49,6 @@ from .recommender import (
     RecommendationList,
     cf_categories,
     cf_products,
-    derive_hybrid_weights,
     most_popular,
     normalize_scores,
     weighted_sum_hybrid,

@@ -15,16 +15,15 @@ from typing import Optional
 
 from .corpus import CorpusError, load_corpus
 from .evalharness import (
-    AVERAGING_MODES,
-    MOST_POPULAR_ID,
     TASKS,
     HybridDef,
+    check_experiment,
     make_split,
     run_experiment,
     write_report,
 )
 from .recommender import DEFAULT_N
-from .simfeatures import DEFAULT_K, UnknownFeatureError, parse_feature_id
+from .simfeatures import DEFAULT_K
 from .synth import SyntheticSpec, generate
 
 EXIT_OK = 0
@@ -47,33 +46,6 @@ class ExperimentConfig:
     list_length: int = DEFAULT_N
     task: str = "products"
     averaging: str = "harsh"
-
-    def validate(self) -> None:
-        if self.knn_k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.knn_k}")
-        if self.list_length < 1:
-            raise ConfigError(f"n must be >= 1, got {self.list_length}")
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {', '.join(TASKS)}, got {self.task!r}")
-        if self.averaging not in AVERAGING_MODES:
-            raise ConfigError(
-                f"averaging must be one of {', '.join(AVERAGING_MODES)}, got {self.averaging!r}"
-            )
-        if not self.recommenders:
-            raise ConfigError("at least one recommender is required")
-        for rec in self.recommenders:
-            components = rec.components if isinstance(rec, HybridDef) else (rec,)
-            for component in components:
-                _check_id(component)
-
-
-def _check_id(component: str) -> None:
-    if component == MOST_POPULAR_ID:
-        return
-    try:
-        parse_feature_id(component)
-    except UnknownFeatureError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _split_list(value: str) -> list[str]:
@@ -116,8 +88,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not parser.has_option(name, "components"):
             raise ConfigError(f"{path}: [{name}] needs a 'components' entry")
         components = tuple(_split_list(parser[name]["components"]))
-        if not components:
-            raise ConfigError(f"{path}: [{name}] lists no components")
         weights = None
         if parser.has_option(name, "weights"):
             raw = _split_list(parser[name]["weights"])
@@ -129,17 +99,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 values = [float(item) for item in raw]
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{name}] weights: {exc}") from None
-            if any(v < 0 for v in values) or not any(v > 0 for v in values):
-                raise ConfigError(
-                    f"{path}: [{name}] weights must be non-negative with at least one positive"
-                )
             weights = dict(zip(components, values))
         recommenders.append(HybridDef(name=hybrid_name, components=components, weights=weights))
-
-    names = [rec.name if isinstance(rec, HybridDef) else rec for rec in recommenders]
-    duplicates = {n for n in names if names.count(n) > 1}
-    if duplicates:
-        raise ConfigError(f"{path}: duplicate recommender ids: {', '.join(sorted(duplicates))}")
 
     def _int(key, default):
         try:
@@ -157,13 +118,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         task=section.get("task", "products"),
         averaging=section.get("averaging", "harsh"),
     )
-    config.validate()
+    try:
+        check_experiment(
+            config.recommenders,
+            config.task,
+            knn_k=config.knn_k,
+            list_length=config.list_length,
+            averaging=config.averaging,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config
 
 
 def run(config: ExperimentConfig) -> list[Path]:
     """Execute one experiment and write its report files; returns the paths."""
-    config.validate()
     corpus = load_corpus(config.data_dir)
     split = make_split(corpus, config.seed)
     report = run_experiment(

@@ -1,4 +1,4 @@
-"""Data model, file loading, and derived user profiles for the three-source corpus.
+"""Data model, file loading, and per-user entity sets for the three-source corpus.
 
 A corpus combines marketplace data (products, purchases), social data
 (interactions, group memberships, interest tags), and location data
@@ -10,7 +10,7 @@ integrity; the loaded corpus is immutable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
@@ -120,21 +120,12 @@ class LocationRecord:
 
 
 @dataclass(frozen=True)
-class EntityProfile:
-    """The deduplicated set of entities of one kind associated with a user."""
-
-    user: str
-    entity_kind: str
-    entities: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Corpus:
     """Immutable, validated view over all six source tables.
 
     ``users`` is the user universe: every user id referenced anywhere.
-    Users present in only some sources are legal; profile lookups for them
-    yield empty sets for the missing kinds.
+    Users present in only some sources are legal; entity_sets() maps them
+    to empty sets for the missing kinds.
     """
 
     products: Mapping[str, Product]
@@ -144,15 +135,6 @@ class Corpus:
     interests: tuple[InterestTag, ...]
     locations: tuple[LocationRecord, ...]
     users: frozenset[str]
-    _profile_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-
-    def entity_profiles(self, kind: str) -> Mapping[str, EntityProfile]:
-        """Per-user profiles for one entity kind, cached after first build."""
-        if kind not in self._profile_cache:
-            self._profile_cache[kind] = build_entity_profiles(self, kind)
-        return self._profile_cache[kind]
 
 
 def top_level_category(product: Product) -> Optional[str]:
@@ -265,23 +247,6 @@ def entity_sets(corpus: Corpus, kind: str) -> dict[str, frozenset[str]]:
             if record.kind == location_kind:
                 acc[record.user].add(record.location)
     return {user: frozenset(values) for user, values in acc.items()}
-
-
-def build_entity_profiles(corpus: Corpus, kind: str) -> dict[str, EntityProfile]:
-    """EntityProfile per user for one kind; empty profiles for users without data."""
-    return {
-        user: EntityProfile(user=user, entity_kind=kind, entities=values)
-        for user, values in entity_sets(corpus, kind).items()
-    }
-
-
-def serialize_profiles(profiles: Mapping[str, EntityProfile]) -> str:
-    """Byte-stable sorted text form of a profile mapping, one user per line."""
-    lines = []
-    for user in sorted(profiles):
-        entities = ",".join(sorted(profiles[user].entities))
-        lines.append(f"{user}\t{entities}")
-    return "\n".join(lines) + "\n"
 
 
 def _read_rows(path: str | Path, table: str):

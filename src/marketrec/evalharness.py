@@ -16,20 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Sized, Union
 
-from .corpus import (
-    Corpus,
-    Product,
-    low_level_category,
-    top_level_category,
-    with_purchases,
-)
+from .corpus import Corpus, Product, with_purchases
 from .recommender import (
     DEFAULT_N,
+    TASK_LISTS,
     HybridWeights,
     RecommendationList,
     cf_categories,
     cf_products,
-    derive_hybrid_weights,
     most_popular,
     normalize_scores,
     popularity_counts,
@@ -37,7 +31,7 @@ from .recommender import (
 )
 from .simfeatures import DEFAULT_K, SimilarityContext, parse_feature_id
 
-TASKS = ("products", "low_categories", "top_categories")
+TASKS = tuple(TASK_LISTS)
 AVERAGING_MODES = ("harsh", "skip")
 MOST_POPULAR_ID = "most_popular"
 HOLDOUT_SIZE = 10
@@ -270,17 +264,17 @@ class _Engine:
         return per_user[user]
 
     def task_list(self, rec_id, task, user) -> RecommendationList:
-        if task == "products":
+        kind, extract = TASK_LISTS[task]
+        if extract is None:
             return self.product_list(rec_id, user)
-        level = "top" if task == "top_categories" else "low"
         if rec_id == MOST_POPULAR_ID:
             # identical for every user: no per-user exclusion on categories
             if task not in self._popular_task:
-                kind = "top_category" if level == "top" else "low_category"
                 self._popular_task[task] = most_popular(self.training, kind, self.n)
             return self._popular_task[task]
         per_user = self._task_lists.setdefault((rec_id, task), {})
         if user not in per_user:
+            level = task.removesuffix("_categories")
             per_user[user] = cf_categories(
                 self.slice_for(rec_id, user), self.corpus, self.purchase_sets, level, self.n
             )
@@ -288,9 +282,9 @@ class _Engine:
 
     def relevant(self, task, user) -> frozenset[str]:
         withheld = self.split.test[user]
-        if task == "products":
+        _, extract = TASK_LISTS[task]
+        if extract is None:
             return withheld
-        extract = top_level_category if task == "top_categories" else low_level_category
         categories = {extract(self.corpus.products[p]) for p in withheld}
         categories.discard(None)
         return frozenset(categories)
@@ -375,17 +369,9 @@ def run_experiment(
     excluded from accuracy means under "skip"; coverage and diversity always
     average over all eligible users.
     """
-    if task not in TASKS:
-        raise ValueError(f"unknown task: {task!r}")
-    if averaging not in AVERAGING_MODES:
-        raise ValueError(f"averaging must be one of {AVERAGING_MODES}, got {averaging!r}")
-    if not recommenders:
-        raise ValueError("at least one recommender is required")
-    for rec in recommenders:
-        for component in _component_ids(rec):
-            if component != MOST_POPULAR_ID:
-                parse_feature_id(component)
-
+    check_experiment(
+        recommenders, task, knn_k=knn_k, list_length=list_length, averaging=averaging
+    )
     engine = _Engine(corpus, split, knn_k, list_length)
     if weighting_seed is None:
         weighting_seed = split.seed + 1
@@ -434,9 +420,7 @@ def run_experiment(
             if rec.weights is not None:
                 weights = HybridWeights(dict(rec.weights))
             else:
-                weights = derive_hybrid_weights(
-                    {c: component_quality(c) for c in rec.components}
-                )
+                weights = HybridWeights({c: component_quality(c) for c in rec.components})
                 meta.setdefault("weighting_seed", str(weighting_seed))
             for component in rec.components:
                 meta[f"weight.{name}.{component}"] = _fmt(weights.weights[component])
@@ -459,6 +443,8 @@ def _simple_producer(engine, rec_id, task):
 
 
 def _hybrid_producer(engine, hybrid: HybridDef, weights: HybridWeights, task):
+    kind, extract = TASK_LISTS[task]
+
     def produce(user):
         product_lists = {
             c: normalize_scores(engine.product_list(c, user)) for c in hybrid.components
@@ -466,9 +452,8 @@ def _hybrid_producer(engine, hybrid: HybridDef, weights: HybridWeights, task):
         product = weighted_sum_hybrid(
             product_lists, weights, engine.n, target=user, kind="product"
         )
-        if task == "products":
+        if extract is None:
             return product, product
-        kind = "top_category" if task == "top_categories" else "low_category"
         task_lists = {
             c: normalize_scores(engine.task_list(c, task, user)) for c in hybrid.components
         }
@@ -478,6 +463,48 @@ def _hybrid_producer(engine, hybrid: HybridDef, weights: HybridWeights, task):
         return product, combined
 
     return produce
+
+
+def check_experiment(
+    recommenders: Sequence[RecommenderDef],
+    task: str,
+    *,
+    knn_k: int,
+    list_length: int,
+    averaging: str,
+) -> None:
+    """Raise ValueError for any experiment setting run_experiment cannot honour.
+
+    Unknown feature ids raise UnknownFeatureError, a ValueError. Explicit
+    hybrid weights must name each component once and pass HybridWeights.
+    """
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {', '.join(TASKS)}, got {task!r}")
+    if averaging not in AVERAGING_MODES:
+        raise ValueError(
+            f"averaging must be one of {', '.join(AVERAGING_MODES)}, got {averaging!r}"
+        )
+    if knn_k < 1:
+        raise ValueError(f"knn_k must be >= 1, got {knn_k}")
+    if list_length < 1:
+        raise ValueError(f"list_length must be >= 1, got {list_length}")
+    if not recommenders:
+        raise ValueError("at least one recommender is required")
+    names = [_display_id(rec) for rec in recommenders]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate recommender ids: {', '.join(duplicates)}")
+    for rec in recommenders:
+        for component in _component_ids(rec):
+            if component != MOST_POPULAR_ID:
+                parse_feature_id(component)
+        if isinstance(rec, HybridDef):
+            if not rec.components:
+                raise ValueError(f"hybrid {rec.name!r} lists no components")
+            if rec.weights is not None:
+                if set(rec.weights) != set(rec.components):
+                    raise ValueError(f"hybrid {rec.name!r} needs one weight per component")
+                HybridWeights(rec.weights)
 
 
 def _component_ids(rec: RecommenderDef) -> tuple[str, ...]:

@@ -1,11 +1,11 @@
-"""Undirected weighted user graphs built from social interactions and co-attendance."""
+"""Undirected, unweighted user graphs built from social interactions and co-attendance."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from itertools import combinations
-from typing import Iterator, Mapping
+from itertools import chain, combinations
+from typing import Iterable
 
 from .corpus import Corpus
 
@@ -13,23 +13,21 @@ _EMPTY: frozenset[str] = frozenset()
 
 
 class InteractionGraph:
-    """Undirected user graph with positive integer edge weights.
+    """Undirected user graph held as adjacency sets.
 
-    Edges carry the frequency of the underlying action between two users.
+    An edge links two users who share at least one underlying action; how
+    often they do is not kept, because no similarity feature reads it.
     There are no self-loops, and adjacency is symmetric by construction.
     """
 
-    def __init__(self, vertices: frozenset[str], edge_weights: Mapping[tuple[str, str], int]):
+    def __init__(self, vertices: frozenset[str], edges: Iterable[tuple[str, str]]):
         adjacency: dict[str, set[str]] = defaultdict(set)
-        for (u, v), weight in edge_weights.items():
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            if weight < 1:
-                raise ValueError(f"edge ({u!r}, {v!r}) has non-positive weight {weight}")
             adjacency[u].add(v)
             adjacency[v].add(u)
         self.vertices = vertices
-        self._weights = {_edge_key(u, v): w for (u, v), w in edge_weights.items()}
         self._adjacency = {user: frozenset(nbrs) for user, nbrs in adjacency.items()}
 
     def neighbors(self, user: str) -> frozenset[str]:
@@ -45,53 +43,25 @@ class InteractionGraph:
         ranked = sorted((-self.degree(u), u) for u in self.vertices)
         return [(u, -d) for d, u in ranked if d]
 
-    def weight(self, u: str, v: str) -> int:
-        """Edge weight between two users, 0 if no edge exists."""
-        return self._weights.get(_edge_key(u, v), 0)
-
-    def edges(self) -> Iterator[tuple[str, str, int]]:
-        for (u, v), weight in self._weights.items():
-            yield u, v, weight
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._weights)
-
-
-def _edge_key(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
-def neighbors(graph: InteractionGraph, user: str) -> frozenset[str]:
-    return graph.neighbors(user)
-
 
 def build_social_graph(corpus: Corpus) -> InteractionGraph:
-    """Graph over all corpus users where edge weight counts interactions.
+    """Graph over all corpus users linking users who interacted.
 
     An edge (u, v) exists iff at least one social interaction connects u and v
-    in either direction; its weight is the total count over both directions
-    and all interaction kinds.
+    in either direction, of any interaction kind.
     """
-    weights: dict[tuple[str, str], int] = defaultdict(int)
-    for interaction in corpus.social:
-        weights[_edge_key(interaction.actor, interaction.target)] += 1
-    return InteractionGraph(corpus.users, weights)
+    return InteractionGraph(corpus.users, ((s.actor, s.target) for s in corpus.social))
 
 
 def build_colocation_graph(corpus: Corpus) -> InteractionGraph:
     """Graph over all corpus users linking attendees of the same event.
 
-    Only monitored location records participate: for every distinct event key,
-    each unordered pair of distinct attendees gains +1 edge weight. Duplicate
-    attendance records of one user at one event count once.
+    Only monitored location records participate: every unordered pair of
+    distinct attendees of one event key is an edge.
     """
     attendees: dict[str, set[str]] = defaultdict(set)
     for record in corpus.locations:
         if record.kind == "monitored":
             attendees[record.event_key].add(record.user)
-    weights: dict[tuple[str, str], int] = defaultdict(int)
-    for event_users in attendees.values():
-        for u, v in combinations(sorted(event_users), 2):
-            weights[(u, v)] += 1
-    return InteractionGraph(corpus.users, weights)
+    pairs = chain.from_iterable(combinations(users, 2) for users in attendees.values())
+    return InteractionGraph(corpus.users, pairs)

@@ -8,7 +8,13 @@ from typing import Mapping, Optional
 from .corpus import Corpus, low_level_category, top_level_category
 from .simfeatures import SimilarityMatrixSlice
 
-LIST_KINDS = ("product", "top_category", "low_category")
+# task -> (list kind, category extractor); product lists extract no category
+TASK_LISTS = {
+    "products": ("product", None),
+    "low_categories": ("low_category", low_level_category),
+    "top_categories": ("top_category", top_level_category),
+}
+_EXTRACTOR_BY_KIND = dict(TASK_LISTS.values())
 DEFAULT_N = 10
 
 
@@ -42,7 +48,7 @@ class HybridWeights:
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("hybrid weights must be non-negative")
         if not any(w > 0 for w in self.weights.values()):
-            raise ValueError("no informative component")
+            raise ValueError("no informative component: no weight is positive")
 
 
 def _ranked(scores: Mapping[str, float], n: Optional[int]) -> tuple[tuple[str, float], ...]:
@@ -57,19 +63,14 @@ def popularity_counts(corpus: Corpus, kind: str) -> dict[str, int]:
     For category kinds, each row contributes the top- or low-level category
     of its product; uncategorized products contribute nothing.
     """
-    if kind not in LIST_KINDS:
+    if kind not in _EXTRACTOR_BY_KIND:
         raise ValueError(f"unknown list kind: {kind!r}")
+    extract = _EXTRACTOR_BY_KIND[kind]
     counts: dict[str, int] = {}
     for purchase in corpus.purchases:
-        if kind == "product":
-            key = purchase.product
-        else:
-            product = corpus.products[purchase.product]
-            extract = top_level_category if kind == "top_category" else low_level_category
-            key = extract(product)
-            if key is None:
-                continue
-        counts[key] = counts.get(key, 0) + 1
+        key = purchase.product if extract is None else extract(corpus.products[purchase.product])
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -138,10 +139,9 @@ def cf_categories(
     a category's score is its share of all extracted category occurrences.
     Products without categories are skipped.
     """
-    if level not in ("top", "low"):
+    kind, extract = TASK_LISTS.get(f"{level}_categories", (None, None))
+    if extract is None:
         raise ValueError(f"level must be 'top' or 'low', got {level!r}")
-    extract = top_level_category if level == "top" else low_level_category
-    kind = "top_category" if level == "top" else "low_category"
     counts: dict[str, int] = {}
     total = 0
     for item in cf_candidate_scores(slice_, purchase_sets):
@@ -197,13 +197,3 @@ def weighted_sum_hybrid(
         target = target or rec.target
         kind = kind or rec.kind
     return RecommendationList(target=target, kind=kind, items=_ranked(combined, n))
-
-
-def derive_hybrid_weights(component_scores: Mapping[str, float]) -> HybridWeights:
-    """Weights from per-component ranking quality on a held-out weighting split.
-
-    Each component's weight is its nDCG@10 there; components scoring 0 are
-    effectively excluded. Raises ValueError("no informative component") when
-    every component scored 0.
-    """
-    return HybridWeights(weights=dict(component_scores))

@@ -10,7 +10,10 @@ from marketrec.corpus import (
     Product,
     Purchase,
     SocialInteraction,
+    load_corpus,
 )
+from marketrec.evalharness import TASKS, HybridDef, make_split, run_experiment, write_report
+from marketrec.simfeatures import ALL_FEATURE_IDS
 
 FILE_HEADERS = {
     "products.csv": "product_id,seller_id,category_path",
@@ -89,3 +92,25 @@ def make_corpus(
         locations=location_rows,
         users=frozenset(users),
     )
+
+
+# Every feature id, the popularity baseline, and both kinds of hybrid.
+ALL_RECOMMENDERS = (
+    "most_popular",
+    *ALL_FEATURE_IDS,
+    HybridDef("derived", ("mp.purchases.jaccard", "sn.graph.no", "loc.monitored.jaccard")),
+    HybridDef(
+        "explicit",
+        ("most_popular", "sn.graph.aa", "mp.categories.jaccard"),
+        weights={"most_popular": 0.25, "sn.graph.aa": 0.75, "mp.categories.jaccard": 0.0},
+    ),
+)
+
+
+def write_task_reports(data_dir, out_dir, split_seed) -> None:
+    """Run ALL_RECOMMENDERS on every task; write each task's reports under ``out_dir/<task>``."""
+    corpus = load_corpus(data_dir)
+    split = make_split(corpus, split_seed)
+    for task in TASKS:
+        report = run_experiment(corpus, split, ALL_RECOMMENDERS, task)
+        write_report(report, Path(out_dir) / task)

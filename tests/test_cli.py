@@ -5,7 +5,6 @@ from marketrec.cli import (
     EXIT_DATA,
     EXIT_OK,
     ConfigError,
-    ExperimentConfig,
     load_config,
     main,
 )
@@ -157,7 +156,9 @@ def test_config_value_validation(tmp_path, dataset):
     config.write_text(text)
     with pytest.raises(ConfigError, match="k must be"):
         load_config(config)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(data_dir="d", out_dir="o", recommenders=("most_popular",), task="nope").validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(data_dir="d", out_dir="o", recommenders=()).validate()
+    config.write_text(text.replace("k = 0", "k = 10").replace("task = products", "task = nope"))
+    with pytest.raises(ConfigError, match="task must be"):
+        load_config(config)
+    config.write_text(text.replace("k = 0", "k = 10").replace("ids = most_popular, sn.graph.cn", "ids ="))
+    with pytest.raises(ConfigError, match="at least one recommender"):
+        load_config(config)

@@ -6,11 +6,9 @@ from marketrec.corpus import (
     DuplicateProductError,
     MalformedRowError,
     Product,
-    build_entity_profiles,
     entity_sets,
     load_corpus,
     low_level_category,
-    serialize_profiles,
     top_level_category,
     with_purchases,
 )
@@ -117,9 +115,9 @@ def test_missing_file(tmp_path):
 
 def test_purchase_profile_dedupes(tmp_path):
     corpus = load_corpus(_write(tmp_path))
-    profiles = build_entity_profiles(corpus, "purchases")
-    assert profiles["u1"].entities == {"p1", "p2"}
-    assert profiles["u2"].entities == {"p3"}
+    sets = entity_sets(corpus, "purchases")
+    assert sets == {"u1": {"p1", "p2"}, "u2": {"p3"}}
+    assert all(isinstance(values, frozenset) for values in sets.values())
 
 
 def test_seller_and_category_profiles(tmp_path):
@@ -132,9 +130,8 @@ def test_seller_and_category_profiles(tmp_path):
 
 def test_profiles_cover_users_without_records(tmp_path):
     corpus = load_corpus(_write(tmp_path, interests=[]))
-    profiles = build_entity_profiles(corpus, "interests")
-    assert profiles["u1"].entities == frozenset()
-    assert profiles["u2"].entities == frozenset()
+    sets = entity_sets(corpus, "interests")
+    assert sets == {"u1": frozenset(), "u2": frozenset()}
 
 
 def test_location_profiles_by_kind(tmp_path):
@@ -186,9 +183,7 @@ def test_load_is_deterministic(tmp_path):
     assert first.purchases == second.purchases
     assert first.products == second.products
     for kind in ("purchases", "sellers", "categories", "groups"):
-        assert serialize_profiles(build_entity_profiles(first, kind)) == serialize_profiles(
-            build_entity_profiles(second, kind)
-        )
+        assert entity_sets(first, kind) == entity_sets(second, kind)
 
 
 def test_with_purchases_keeps_universe(tmp_path):

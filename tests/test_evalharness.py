@@ -348,6 +348,37 @@ def test_unknown_feature_id_rejected(medium_corpus):
         run_experiment(medium_corpus, split, ["most_popular"], "nonsense_task")
 
 
+def test_explicit_weights_must_cover_every_component(medium_corpus):
+    split = make_split(medium_corpus, seed=4)
+    hybrid = HybridDef(
+        "partial", ("mp.purchases.jaccard", "sn.graph.no"), weights={"mp.purchases.jaccard": 1.0}
+    )
+    with pytest.raises(ValueError, match="'partial' needs one weight per component"):
+        run_experiment(medium_corpus, split, [hybrid], "products")
+
+
+def test_list_length_below_one_is_named(medium_corpus):
+    split = make_split(medium_corpus, seed=4)
+    with pytest.raises(ValueError, match="list_length must be >= 1, got 0"):
+        run_experiment(medium_corpus, split, ["most_popular"], "products", list_length=0)
+
+
+def test_knn_k_below_one_rejected_without_knn_recommender(medium_corpus):
+    split = make_split(medium_corpus, seed=4)
+    with pytest.raises(ValueError, match="knn_k must be >= 1, got 0"):
+        run_experiment(medium_corpus, split, ["most_popular"], "products", knn_k=0)
+
+
+def test_duplicate_recommender_ids_rejected(medium_corpus):
+    split = make_split(medium_corpus, seed=4)
+    twice = ["sn.graph.no", "most_popular", "sn.graph.no"]
+    with pytest.raises(ValueError, match="duplicate recommender ids: sn.graph.no"):
+        run_experiment(medium_corpus, split, twice, "products")
+    hybrid = HybridDef("most_popular", ("sn.graph.no",))
+    with pytest.raises(ValueError, match="duplicate recommender ids: most_popular"):
+        run_experiment(medium_corpus, split, ["most_popular", hybrid], "products")
+
+
 def test_explicit_hybrid_weights_skip_inner_split(medium_corpus):
     split = make_split(medium_corpus, seed=4)
     hybrid = HybridDef(

@@ -15,45 +15,24 @@ from pathlib import Path
 
 import pytest
 
-from marketrec.corpus import load_corpus
-from marketrec.evalharness import TASKS, HybridDef, make_split, run_experiment, write_report
-from marketrec.simfeatures import ALL_FEATURE_IDS
+from marketrec.evalharness import TASKS
 from marketrec.synth import generate
 
 from conftest import PLANTED_SPEC, PLANTED_SPLIT_SEED
+from helpers import write_task_reports
 
 GOLDEN = Path(__file__).parent / "golden"
-REPORT_FILES = ("report.tsv", "curves.tsv", "meta.tsv")
-RECOMMENDERS = (
-    "most_popular",
-    *ALL_FEATURE_IDS,
-    HybridDef("derived", ("mp.purchases.jaccard", "sn.graph.no", "loc.monitored.jaccard")),
-    HybridDef(
-        "explicit",
-        ("most_popular", "sn.graph.aa", "mp.categories.jaccard"),
-        weights={"most_popular": 0.25, "sn.graph.aa": 0.75, "mp.categories.jaccard": 0.0},
-    ),
-)
-
-
-def write_golden_reports(data_dir, out_dir) -> None:
-    """Write report.tsv, curves.tsv and meta.tsv for every task under ``out_dir/<task>``."""
-    corpus = load_corpus(data_dir)
-    split = make_split(corpus, PLANTED_SPLIT_SEED)
-    for task in TASKS:
-        report = run_experiment(corpus, split, RECOMMENDERS, task)
-        write_report(report, Path(out_dir) / task)
 
 
 @pytest.fixture(scope="module")
 def regenerated(planted_dataset, tmp_path_factory):
     directory, _ = planted_dataset
     out = tmp_path_factory.mktemp("golden")
-    write_golden_reports(directory, out)
+    write_task_reports(directory, out, PLANTED_SPLIT_SEED)
     return out
 
 
-@pytest.mark.parametrize("name", REPORT_FILES)
+@pytest.mark.parametrize("name", ("report.tsv", "curves.tsv", "meta.tsv"))
 @pytest.mark.parametrize("task", TASKS)
 def test_reports_match_golden_bytes(regenerated, task, name):
     expected = (GOLDEN / task / name).read_bytes()
@@ -63,5 +42,5 @@ def test_reports_match_golden_bytes(regenerated, task, name):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as data_dir:
         generate(PLANTED_SPEC, data_dir)
-        write_golden_reports(data_dir, GOLDEN)
+        write_task_reports(data_dir, GOLDEN, PLANTED_SPLIT_SEED)
     print(f"wrote {GOLDEN}")

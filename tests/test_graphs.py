@@ -1,25 +1,29 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph, neighbors
+from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 from helpers import make_corpus
 import oracles
 
 
+def adjacency(graph):
+    """Neighbour sets of the non-isolated vertices, comparable with the oracles."""
+    return {user: graph.neighbors(user) for user in graph.vertices if graph.neighbors(user)}
+
+
 def test_bidirectional_interactions_merge():
     corpus = make_corpus(social=[("a", "b", "love"), ("b", "a", "comment")])
     graph = build_social_graph(corpus)
-    assert graph.weight("a", "b") == 2
-    assert graph.weight("b", "a") == 2
-    assert graph.neighbors("a") == {"b"}
-    assert graph.edge_count == 1
+    assert adjacency(graph) == {"a": {"b"}, "b": {"a"}}
+    assert adjacency(graph) == oracles.adjacency_from_social(corpus.social)
+    assert graph.degree("a") == graph.degree("b") == 1
 
 
 def test_no_interactions_no_edges():
     corpus = make_corpus(extra_users=("a", "b"))
     graph = build_social_graph(corpus)
-    assert graph.edge_count == 0
+    assert adjacency(graph) == {}
     assert graph.vertices == {"a", "b"}
 
 
@@ -28,9 +32,10 @@ def test_three_clique_two_interactions_per_pair():
     for u, v in [("a", "b"), ("a", "c"), ("b", "c")]:
         rows.append((u, v, "love"))
         rows.append((v, u, "wallpost"))
-    graph = build_social_graph(make_corpus(social=rows))
-    for u, v in [("a", "b"), ("a", "c"), ("b", "c")]:
-        assert graph.weight(u, v) == 2
+    corpus = make_corpus(social=rows)
+    graph = build_social_graph(corpus)
+    assert adjacency(graph) == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}}
+    assert adjacency(graph) == oracles.adjacency_from_social(corpus.social)
     for user in "abc":
         assert graph.degree(user) == 2
 
@@ -44,15 +49,15 @@ def test_event_pairwise_expansion():
         ]
     )
     graph = build_colocation_graph(corpus)
-    assert graph.edge_count == 3
-    for u, v in [("a", "b"), ("a", "c"), ("b", "c")]:
-        assert graph.weight(u, v) == 1
+    assert adjacency(graph) == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}}
+    assert adjacency(graph) == oracles.adjacency_from_colocation(corpus.locations)
 
 
 def test_solo_attendee_contributes_nothing():
     corpus = make_corpus(locations=[("a", "l1", "monitored", "e1")])
     graph = build_colocation_graph(corpus)
-    assert graph.edge_count == 0
+    assert adjacency(graph) == {}
+    assert graph.vertices == {"a"}
 
 
 def test_overlapping_events_accumulate():
@@ -65,10 +70,8 @@ def test_overlapping_events_accumulate():
     ]
     corpus = make_corpus(locations=rows)
     graph = build_colocation_graph(corpus)
-    expected = oracles.colocation_pair_counts(corpus.locations)
-    assert graph.weight("a", "b") == expected[("a", "b")] == 2
-    assert graph.weight("a", "c") == 1
-    assert graph.weight("b", "c") == 1
+    assert adjacency(graph) == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}}
+    assert adjacency(graph) == oracles.adjacency_from_colocation(corpus.locations)
 
 
 def test_duplicate_attendance_counts_once():
@@ -77,8 +80,10 @@ def test_duplicate_attendance_counts_once():
         ("a", "l1", "monitored", "e1"),
         ("b", "l1", "monitored", "e1"),
     ]
-    graph = build_colocation_graph(make_corpus(locations=rows))
-    assert graph.weight("a", "b") == 1
+    corpus = make_corpus(locations=rows)
+    graph = build_colocation_graph(corpus)
+    assert adjacency(graph) == {"a": {"b"}, "b": {"a"}}
+    assert adjacency(graph) == oracles.adjacency_from_colocation(corpus.locations)
 
 
 def test_favored_and_shared_records_ignored():
@@ -89,7 +94,7 @@ def test_favored_and_shared_records_ignored():
         ("b", "l2", "shared", None),
     ]
     graph = build_colocation_graph(make_corpus(locations=rows))
-    assert graph.edge_count == 0
+    assert adjacency(graph) == {}
 
 
 def test_neighbors_isolated_edge_star():
@@ -98,17 +103,17 @@ def test_neighbors_isolated_edge_star():
         extra_users=("loner",),
     )
     graph = build_social_graph(corpus)
-    assert neighbors(graph, "loner") == frozenset()
-    assert neighbors(graph, "unknown-user") == frozenset()
-    assert neighbors(graph, "x") == {"y"}
-    assert neighbors(graph, "hub") == {f"leaf{i}" for i in range(5)}
+    assert graph.neighbors("loner") == frozenset()
+    assert graph.neighbors("unknown-user") == frozenset()
+    assert graph.neighbors("x") == {"y"}
+    assert graph.neighbors("hub") == {f"leaf{i}" for i in range(5)}
 
 
-def test_graph_rejects_self_loops_and_bad_weights():
-    with pytest.raises(ValueError):
-        InteractionGraph(frozenset({"a"}), {("a", "a"): 1})
-    with pytest.raises(ValueError):
-        InteractionGraph(frozenset({"a", "b"}), {("a", "b"): 0})
+def test_graph_rejects_self_loops():
+    with pytest.raises(ValueError, match="self-loop"):
+        InteractionGraph(frozenset({"a"}), [("a", "a")])
+    with pytest.raises(ValueError, match="self-loop on 'b'"):
+        InteractionGraph(frozenset({"a", "b"}), iter([("a", "b"), ("b", "b")]))
 
 
 _users = st.integers(min_value=0, max_value=12).map(lambda i: f"u{i}")
@@ -126,27 +131,28 @@ def test_symmetry_on_random_graphs(rows):
     for user in graph.vertices:
         for other in graph.neighbors(user):
             assert user in graph.neighbors(other)
-            assert graph.weight(user, other) == graph.weight(other, user) >= 1
             assert other != user
 
 
 @given(_interactions)
-def test_social_weight_conservation(rows):
+def test_social_edges_are_interacting_pairs(rows):
     corpus = make_corpus(social=rows)
     graph = build_social_graph(corpus)
-    assert sum(w for _, _, w in graph.edges()) == len(corpus.social)
+    edges = {(u, v) for u in graph.vertices for v in graph.neighbors(u) if u < v}
+    assert edges == set(oracles.social_pair_counts(corpus.social))
+    assert sum(graph.degree(u) for u in graph.vertices) == 2 * len(edges)
 
 
 def test_colocation_matches_bruteforce_oracle(small_corpus):
     assert len(small_corpus.users) <= 100
     graph = build_colocation_graph(small_corpus)
-    expected = oracles.colocation_pair_counts(small_corpus.locations)
-    actual = {(u, v): w for u, v, w in graph.edges()}
-    assert actual == dict(expected)
+    expected = oracles.adjacency_from_colocation(small_corpus.locations)
+    assert expected  # the fixture has co-attendance, so the comparison is not vacuous
+    assert adjacency(graph) == dict(expected)
 
 
 def test_social_graph_matches_pair_counts(small_corpus):
     graph = build_social_graph(small_corpus)
-    expected = oracles.social_pair_counts(small_corpus.social)
-    actual = {(u, v): w for u, v, w in graph.edges()}
-    assert actual == dict(expected)
+    expected = oracles.adjacency_from_social(small_corpus.social)
+    assert expected
+    assert adjacency(graph) == dict(expected)

@@ -8,7 +8,6 @@ from marketrec.recommender import (
     RecommendationList,
     cf_categories,
     cf_products,
-    derive_hybrid_weights,
     most_popular,
     normalize_scores,
     popularity_counts,
@@ -214,14 +213,14 @@ def test_hybrid_missing_component_weight_means_zero():
 
 
 def test_derive_hybrid_weights_passthrough():
-    weights = derive_hybrid_weights({"sn.graph.no": 0.1434, "mp.sellers.jaccard": 0.0158})
+    weights = HybridWeights({"sn.graph.no": 0.1434, "mp.sellers.jaccard": 0.0158})
     assert weights.weights == {"sn.graph.no": 0.1434, "mp.sellers.jaccard": 0.0158}
-    single = derive_hybrid_weights({"only": 0.5})
+    single = HybridWeights({"only": 0.5})
     assert single.weights["only"] == 0.5
 
 
 def test_derive_hybrid_weights_zero_component_excluded():
-    weights = derive_hybrid_weights({"good": 0.2, "useless": 0.0})
+    weights = HybridWeights({"good": 0.2, "useless": 0.0})
     combined = weighted_sum_hybrid(
         {"good": rec([("x", 1.0)]), "useless": rec([("y", 1.0)])}, weights, 10
     )
@@ -230,7 +229,7 @@ def test_derive_hybrid_weights_zero_component_excluded():
 
 def test_derive_hybrid_weights_all_zero_is_an_error():
     with pytest.raises(ValueError, match="no informative component"):
-        derive_hybrid_weights({"a": 0.0, "b": 0.0})
+        HybridWeights({"a": 0.0, "b": 0.0})
     with pytest.raises(ValueError):
         HybridWeights({"a": -0.1, "b": 1.0})
 

@@ -371,9 +371,7 @@ IDLE_USER = "zz-idle"
 @pytest.fixture(scope="module")
 def planted_context(planted_corpus):
     """The planted corpus plus one user with no data for any feature."""
-    corpus = dataclasses.replace(
-        planted_corpus, users=planted_corpus.users | {IDLE_USER}, _profile_cache={}
-    )
+    corpus = dataclasses.replace(planted_corpus, users=planted_corpus.users | {IDLE_USER})
     return SimilarityContext(corpus)
 
 
