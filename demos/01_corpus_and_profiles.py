@@ -10,13 +10,12 @@ import tempfile
 from marketrec import entity_sets, load_corpus, low_level_category, top_level_category
 from marketrec.synth import SyntheticSpec, generate
 
-workdir = tempfile.mkdtemp(prefix="marketrec-demo-")
 spec = SyntheticSpec(users=20, clusters=4, noise=0.1, seed=1)
-manifest = generate(spec, workdir)
-print(f"dataset written to {workdir}")
-print(f"row counts: {manifest['counts']}")
-
-corpus = load_corpus(workdir)
+with tempfile.TemporaryDirectory(prefix="marketrec-demo-") as workdir:
+    manifest = generate(spec, workdir)
+    print(f"dataset written to {workdir}")
+    print(f"row counts: {manifest['counts']}")
+    corpus = load_corpus(workdir)
 print(f"\nloaded {len(corpus.users)} users, {len(corpus.products)} products")
 
 # An entity set is the deduplicated set of entities of one kind for one user.

@@ -1,30 +1,13 @@
 """The nine user-user similarity features on a small worked example.
 
 Three content features compare entity sets; six network features read the
-interaction graph structure. Every feature can drive k-nearest-neighbour
-selection through a SimilarityContext.
+interaction graph structure. A SimilarityContext scores every feature through
+k-nearest-neighbour selection: the score of a pair (u, v) is v's similarity in
+u's neighbourhood, or 0 when v is not in it.
 """
 
-from marketrec import (
-    SimilarityContext,
-    adamic_adar,
-    common_entities,
-    common_neighbors,
-    jaccard_entities,
-    jaccard_neighbors,
-    neighborhood_overlap,
-    preferential_attachment,
-    total_entities,
-)
+from marketrec import SimilarityContext
 from marketrec.corpus import Corpus, Product, Purchase, SocialInteraction
-from marketrec.graphs import build_social_graph
-
-# content features work on plain sets
-mine, theirs = {"a", "b", "c"}, {"b", "c", "d"}
-print("content features on {a,b,c} vs {b,c,d}:")
-print(f"  common  = {common_entities(mine, theirs)}")
-print(f"  total   = {total_entities(mine, theirs)}")
-print(f"  jaccard = {jaccard_entities(mine, theirs):.3f}")
 
 # a tiny corpus: u1 and u2 share purchases, u1..u3 interact socially
 products = {p: Product(p, "s1", ("cat",)) for p in ("p1", "p2", "p3")}
@@ -44,17 +27,31 @@ corpus = Corpus(
     memberships=(), interests=(), locations=(),
     users=frozenset({"u1", "u2", "u3"}),
 )
+context = SimilarityContext(corpus)
 
-graph = build_social_graph(corpus)
+
+def pair_score(feature_id, u, v):
+    """v's similarity in u's full neighbourhood under one feature."""
+    neighbourhood = context.k_nearest(feature_id, u, k=len(corpus.users))
+    return dict(neighbourhood.scored).get(v, 0.0)
+
+
+print("content features on the purchase sets u1 {p1,p2} and u2 {p1,p2,p3}:")
+for suffix in ("common", "total", "jaccard"):
+    print(f"  {suffix:7s} = {pair_score(f'mp.purchases.{suffix}', 'u1', 'u2'):.3f}")
+
 print("\nnetwork features on the u1/u2 pair:")
-print(f"  common neighbours      = {common_neighbors(graph, 'u1', 'u2')}")
-print(f"  neighbour jaccard      = {jaccard_neighbors(graph, 'u1', 'u2'):.3f}")
-print(f"  adamic/adar            = {adamic_adar(graph, 'u1', 'u2'):.3f}")
-print(f"  neighbourhood overlap  = {neighborhood_overlap(graph, 'u1', 'u2'):.3f}")
-print(f"  pref. attachment       = {preferential_attachment(graph, 'u1', 'u2')}")
+for suffix, name in (
+    ("directed", "directed interactions"),
+    ("cn", "common neighbours"),
+    ("jaccard", "neighbour jaccard"),
+    ("aa", "adamic/adar"),
+    ("no", "neighbourhood overlap"),
+    ("pa", "pref. attachment"),
+):
+    print(f"  {name:22s} = {pair_score(f'sn.graph.{suffix}', 'u1', 'u2'):.3f}")
 
 # every feature is addressable by a dotted id for neighbourhood construction
-context = SimilarityContext(corpus)
 for feature_id in ("mp.purchases.jaccard", "sn.graph.cn", "sn.graph.directed"):
     slice_ = context.k_nearest(feature_id, "u1", k=5)
     pretty = ", ".join(f"{u}={s:.3f}" for u, s in slice_.scored)

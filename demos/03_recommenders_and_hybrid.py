@@ -18,9 +18,9 @@ from marketrec import (
 )
 from marketrec.synth import SyntheticSpec, generate
 
-workdir = tempfile.mkdtemp(prefix="marketrec-demo-")
-generate(SyntheticSpec(users=40, clusters=4, noise=0.1, seed=2), workdir)
-corpus = load_corpus(workdir)
+with tempfile.TemporaryDirectory(prefix="marketrec-demo-") as workdir:
+    generate(SyntheticSpec(users=40, clusters=4, noise=0.1, seed=2), workdir)
+    corpus = load_corpus(workdir)
 context = SimilarityContext(corpus)
 purchase_sets = context.entity_sets("purchases")
 

@@ -33,16 +33,7 @@ from .simfeatures import (
     SimilarityMatrixSlice,
     UnknownFeatureError,
     UnknownUserError,
-    adamic_adar,
-    common_entities,
-    common_neighbors,
-    directed_interactions,
-    jaccard_entities,
-    jaccard_neighbors,
-    neighborhood_overlap,
     parse_feature_id,
-    preferential_attachment,
-    total_entities,
 )
 from .recommender import (
     HybridWeights,
@@ -65,7 +56,6 @@ from .evalharness import (
     precision_at_k,
     recall_at_k,
     run_experiment,
-    user_coverage,
     write_report,
 )
 from .synth import SyntheticSpec, generate

@@ -14,7 +14,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Sized, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .corpus import Corpus, Product, with_purchases
 from .recommender import (
@@ -165,14 +165,6 @@ def diversity_at_k(
             if i != j:
                 total += distance(items[i], items[j])
     return total / (m * (m - 1))
-
-
-def user_coverage(lists: Mapping[str, Sized]) -> float:
-    """Fraction of users with a non-empty recommendation list."""
-    if not lists:
-        return 0.0
-    served = sum(1 for value in lists.values() if len(value) > 0)
-    return served / len(lists)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import AbstractSet, Optional
+from typing import Optional
 
 from .corpus import Corpus, entity_sets
 from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
@@ -106,53 +106,6 @@ def parse_feature_id(feature_id: str) -> FeatureSpec:
         raise UnknownFeatureError(f"unknown feature id: {feature_id!r}") from None
 
 
-def common_entities(a: AbstractSet[str], b: AbstractSet[str]) -> int:
-    return len(a & b)
-
-
-def total_entities(a: AbstractSet[str], b: AbstractSet[str]) -> int:
-    return len(a | b)
-
-
-def jaccard_entities(a: AbstractSet[str], b: AbstractSet[str]) -> float:
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
-
-
-def directed_interactions(corpus: Corpus, actor: str, target: str) -> int:
-    """Count of social interactions from ``actor`` to ``target`` (one direction)."""
-    return sum(1 for s in corpus.social if s.actor == actor and s.target == target)
-
-
-def common_neighbors(graph: InteractionGraph, u: str, v: str) -> int:
-    return len(graph.neighbors(u) & graph.neighbors(v))
-
-
-def jaccard_neighbors(graph: InteractionGraph, u: str, v: str) -> float:
-    union = len(graph.neighbors(u) | graph.neighbors(v))
-    return len(graph.neighbors(u) & graph.neighbors(v)) / union if union else 0.0
-
-
-def adamic_adar(graph: InteractionGraph, u: str, v: str) -> float:
-    # Shared neighbours of degree <= 1 would divide by log(1) = 0; they cannot
-    # occur in a well-formed undirected graph and are skipped defensively.
-    score = 0.0
-    for z in sorted(graph.neighbors(u) & graph.neighbors(v)):
-        degree = graph.degree(z)
-        if degree > 1:
-            score += 1.0 / math.log(degree)
-    return score
-
-
-def neighborhood_overlap(graph: InteractionGraph, u: str, v: str) -> float:
-    total = graph.degree(u) + graph.degree(v)
-    return len(graph.neighbors(u) & graph.neighbors(v)) / total if total else 0.0
-
-
-def preferential_attachment(graph: InteractionGraph, u: str, v: str) -> int:
-    return graph.degree(u) * graph.degree(v)
-
-
 @dataclass(frozen=True)
 class SimilarityMatrixSlice:
     """Scored candidate neighbours for one target user, best first.
@@ -229,37 +182,6 @@ class SimilarityContext:
             self._directed = Counter((s.actor, s.target) for s in self.corpus.social)
         return self._directed.get((actor, target), 0)
 
-    def score(self, spec: FeatureSpec | str, u: str, v: str) -> float:
-        """Similarity of a user pair under one feature.
-
-        Directed interactions are symmetrized here as the max over both
-        directions, so that every feature yields a usable neighbourhood;
-        the one-directional count stays available via directed_interactions().
-        """
-        if isinstance(spec, str):
-            spec = parse_feature_id(spec)
-        if spec.family == "content":
-            sets = self.entity_sets(spec.entity_kind)
-            a = sets.get(u, frozenset())
-            b = sets.get(v, frozenset())
-            if spec.feature == "common_entities":
-                return float(common_entities(a, b))
-            if spec.feature == "total_entities":
-                return float(total_entities(a, b))
-            return jaccard_entities(a, b)
-        if spec.feature == "directed_interactions":
-            return float(max(self.directed_count(u, v), self.directed_count(v, u)))
-        graph = self.graph(spec.graph)
-        if spec.feature == "common_neighbors":
-            return float(common_neighbors(graph, u, v))
-        if spec.feature == "jaccard_neighbors":
-            return jaccard_neighbors(graph, u, v)
-        if spec.feature == "adamic_adar":
-            return adamic_adar(graph, u, v)
-        if spec.feature == "neighborhood_overlap":
-            return neighborhood_overlap(graph, u, v)
-        return float(preferential_attachment(graph, u, v))
-
     def k_nearest(
         self, feature: FeatureSpec | str, target: str, k: int = DEFAULT_K
     ) -> SimilarityMatrixSlice:
@@ -277,7 +199,12 @@ class SimilarityContext:
         return SimilarityMatrixSlice(target=target, scored=tuple((v, -s) for s, v in best))
 
     def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str, float]:
-        """Positive scores, bit-identical to score(), of every user that can make the top-k."""
+        """Positive scores of every user that can make the top-k.
+
+        Each score is bit-identical to the definition in tests/oracles.py.
+        ``directed`` is the larger of the two one-directional counts, so that
+        it yields a neighbourhood like every other feature.
+        """
         if spec.family == "content":
             sets = self.entity_sets(spec.entity_kind)
             own = sets.get(target, frozenset())
@@ -294,7 +221,8 @@ class SimilarityContext:
                 ranked = (entry for entry in graph.by_degree if entry[0] != target)
                 return {v: float(len(own) * d) for v, d in islice(ranked, k)} if own else {}
             if spec.feature == "adamic_adar":
-                # z in sorted order adds each pair's terms in adamic_adar()'s order
+                # z in sorted order adds each pair's terms in the oracle's order; a
+                # neighbour of degree 1 links only to the target, and log(1) = 0
                 scores: dict[str, float] = {}
                 for z in sorted(own):
                     if graph.degree(z) > 1:

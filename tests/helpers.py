@@ -15,6 +15,8 @@ from marketrec.corpus import (
 from marketrec.evalharness import TASKS, HybridDef, make_split, run_experiment, write_report
 from marketrec.simfeatures import ALL_FEATURE_IDS
 
+import oracles
+
 FILE_HEADERS = {
     "products.csv": "product_id,seller_id,category_path",
     "purchases.csv": "buyer_id,product_id",
@@ -114,3 +116,45 @@ def write_task_reports(data_dir, out_dir, split_seed) -> None:
     for task in TASKS:
         report = run_experiment(corpus, split, ALL_RECOMMENDERS, task)
         write_report(report, Path(out_dir) / task)
+
+
+def oracle_scorer(corpus, feature_id):
+    """(score(u, v), data(u)) for one feature id, recomputed from the raw rows.
+
+    ``data(u)`` is the user's entity set, or their neighbours for a graph
+    feature; ``directed`` scores the larger of the two one-directional counts.
+    """
+    prefix, selector, suffix = feature_id.split(".")
+    if selector == "graph":
+        if prefix == "sn":
+            sets = oracles.adjacency_from_social(corpus.social)
+        else:
+            sets = oracles.adjacency_from_colocation(corpus.locations)
+    elif selector == "purchases":
+        sets = oracles.purchase_sets(corpus.purchases)
+    elif selector == "sellers":
+        sets = oracles.seller_sets(corpus.purchases, corpus.products)
+    elif selector == "categories":
+        sets = oracles.category_sets(corpus.purchases, corpus.products)
+    elif selector == "groups":
+        sets = oracles.pair_sets((m.user, m.group) for m in corpus.memberships)
+    elif selector == "interests":
+        sets = oracles.pair_sets((t.user, t.interest) for t in corpus.interests)
+    else:
+        sets = oracles.location_sets(corpus.locations, selector)
+
+    def data(user):
+        return sets.get(user, set())
+
+    if suffix == "directed":
+        counts = oracles.directed_counts(corpus.social)
+        return (lambda u, v: float(max(counts.get((u, v), 0), counts.get((v, u), 0)))), data
+    if selector == "graph":
+        return (lambda u, v: oracles.network_score(sets, u, v, suffix)), data
+    return (lambda u, v: oracles.content_score(data(u), data(v), suffix)), data
+
+
+def oracle_knn(users, target, k, scorer):
+    """``oracles.knn`` as a tuple; empty for a target without data, even under ``total``."""
+    score, data = scorer
+    return tuple(oracles.knn(users, target, k, score)) if data(target) else ()

@@ -18,10 +18,11 @@ from marketrec.recommender import (
     normalize_scores,
     weighted_sum_hybrid,
 )
-from marketrec.simfeatures import SimilarityContext, directed_interactions
+from marketrec.simfeatures import SimilarityContext
 from marketrec.synth import SyntheticSpec, generate
 
 from conftest import PLANTED_SPLIT_SEED
+from helpers import oracle_knn, oracle_scorer
 import oracles
 
 TOL = 1e-9
@@ -62,35 +63,17 @@ def test_criterion_1_similarity_features_match_bruteforce(tmp_path, planted_corp
     other = tmp_path / "variety"
     generate(SyntheticSpec(users=120, clusters=8, noise=0.3, seed=99), other)
     corpora = [load_corpus(other), planted_corpus]
+    features = ("mp.purchases.common", "mp.purchases.total", "mp.purchases.jaccard", *SN_GRAPH_FEATURES)
     for corpus in corpora:
         assert len(corpus.users) <= 200
         users = sorted(corpus.users)
         context = SimilarityContext(corpus)
-        owned = oracles.purchase_sets(corpus.purchases)
-        adjacency = oracles.adjacency_from_social(corpus.social)
-        directed = oracles.directed_counts(corpus.social)
-        for i, u in enumerate(users):
-            for v in users[i + 1 :]:
-                a = owned.get(u, set())
-                b = owned.get(v, set())
-                assert context.score("mp.purchases.common", u, v) == len(a & b)
-                assert context.score("mp.purchases.total", u, v) == len(a | b)
-                want = oracles.content_score(a, b, "jaccard")
-                assert abs(context.score("mp.purchases.jaccard", u, v) - want) < TOL
-                for suffix in oracles.NETWORK_FEATURES:
-                    want = oracles.network_score(adjacency, u, v, suffix)
-                    got = context.score(f"sn.graph.{suffix}", u, v)
-                    if suffix in ("cn", "pa"):
-                        assert got == want
-                    else:
-                        assert abs(got - want) < TOL
-                want = max(directed.get((u, v), 0), directed.get((v, u), 0))
-                assert context.score("sn.graph.directed", u, v) == want
-        # the one-directional counter agrees with the raw rows on sampled pairs
-        rng = random.Random(7)
-        for _ in range(150):
-            u, v = rng.sample(users, 2)
-            assert directed_interactions(corpus, u, v) == directed.get((u, v), 0)
+        # every user is a target and k covers everyone, so both directions of every pair are checked
+        for feature_id in features:
+            scorer = oracle_scorer(corpus, feature_id)
+            for target in users:
+                got = context.k_nearest(feature_id, target, len(users)).scored
+                assert got == oracle_knn(users, target, len(users), scorer), (feature_id, target)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"similarity oracle sweep took {elapsed:.1f}s"
 

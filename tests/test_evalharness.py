@@ -16,7 +16,6 @@ from marketrec.evalharness import (
     precision_at_k,
     recall_at_k,
     run_experiment,
-    user_coverage,
     write_report,
 )
 from marketrec.recommender import RecommendationList, cf_products
@@ -175,14 +174,6 @@ def test_diversity_golden_values():
     assert diversity_at_k([], dist) == 0.0
     # k truncation applies before pairing
     assert diversity_at_k(["a", "b", "c"], dist, 2) == pytest.approx(0.5, **APPROX)
-
-
-def test_user_coverage():
-    assert user_coverage({"a": [1], "b": [1, 2]}) == 1.0
-    assert user_coverage({"a": [], "b": []}) == 0.0
-    assert user_coverage({}) == 0.0
-    lists = {f"u{i}": ([1] if i < 686 else []) for i in range(959)}
-    assert user_coverage(lists) == pytest.approx(0.7153284671532847, **APPROX)
 
 
 # --- experiment runner --------------------------------------------------------

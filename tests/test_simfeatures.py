@@ -12,47 +12,55 @@ from marketrec.simfeatures import (
     SimilarityContext,
     UnknownFeatureError,
     UnknownUserError,
-    adamic_adar,
-    common_entities,
-    common_neighbors,
-    directed_interactions,
-    jaccard_entities,
-    jaccard_neighbors,
-    neighborhood_overlap,
     parse_feature_id,
-    preferential_attachment,
-    total_entities,
 )
 
-from helpers import make_corpus
+from helpers import make_corpus, oracle_knn, oracle_scorer
 import oracles
 
 
-def graph_from_edges(edges, extra=()):
+def similarity(context, feature_id, u, v):
+    """v's score in u's full neighbourhood; 0.0 when v is absent from it."""
+    neighbourhood = context.k_nearest(feature_id, u, len(context.corpus.users))
+    return dict(neighbourhood.scored).get(v, 0.0)
+
+
+def groups_context(**groups):
+    """A context whose users, named by keyword, hold the given group sets."""
+    memberships = [(user, group) for user, held in groups.items() for group in held]
+    return SimilarityContext(make_corpus(memberships=memberships, extra_users=tuple(groups)))
+
+
+def graph_context(edges, extra=()):
     corpus = make_corpus(social=[(u, v, "love") for u, v in edges], extra_users=extra)
-    return build_social_graph(corpus)
+    return SimilarityContext(corpus, social_graph=build_social_graph(corpus))
 
 
 # --- content features ---------------------------------------------------
 
 
 def test_common_entities():
-    assert common_entities({"a", "b", "c"}, {"b", "c", "d"}) == 2
-    assert common_entities(set(), {"a"}) == 0
-    x = {"p", "q", "r"}
-    assert common_entities(x, x) == 3
+    context = groups_context(u={"a", "b", "c"}, v={"b", "c", "d"}, e=set(), f={"a"},
+                             x={"p", "q", "r"}, y={"p", "q", "r"})
+    assert similarity(context, "sn.groups.common", "u", "v") == 2
+    assert similarity(context, "sn.groups.common", "e", "f") == 0
+    assert similarity(context, "sn.groups.common", "x", "y") == 3
 
 
 def test_total_entities():
-    assert total_entities({"a", "b", "c"}, {"b", "c", "d"}) == 4
-    assert total_entities(set(), set()) == 0
-    assert total_entities({"a", "b"}, {"c", "d", "e"}) == 5
+    context = groups_context(u={"a", "b", "c"}, v={"b", "c", "d"}, e=set(), f=set(),
+                             x={"a", "b"}, y={"c", "d", "e"})
+    assert similarity(context, "sn.groups.total", "u", "v") == 4
+    assert similarity(context, "sn.groups.total", "e", "f") == 0
+    assert similarity(context, "sn.groups.total", "x", "y") == 5
 
 
 def test_jaccard_entities():
-    assert jaccard_entities({"a", "b", "c"}, {"b", "c", "d"}) == 0.5
-    assert jaccard_entities({"x"}, {"x"}) == 1.0
-    assert jaccard_entities(set(), set()) == 0.0
+    context = groups_context(u={"a", "b", "c"}, v={"b", "c", "d"}, x={"x"}, y={"x"},
+                             e=set(), f=set())
+    assert similarity(context, "sn.groups.jaccard", "u", "v") == 0.5
+    assert similarity(context, "sn.groups.jaccard", "x", "y") == 1.0
+    assert similarity(context, "sn.groups.jaccard", "e", "f") == 0.0
 
 
 # --- network features ---------------------------------------------------
@@ -62,72 +70,79 @@ def test_directed_interactions_one_direction_only():
     corpus = make_corpus(
         social=[("a", "b", "love"), ("a", "b", "comment"), ("b", "a", "wallpost")]
     )
-    assert directed_interactions(corpus, "a", "b") == 2
-    assert directed_interactions(corpus, "b", "a") == 1
-    assert directed_interactions(corpus, "a", "c") == 0
+    context = SimilarityContext(corpus)
+    assert context.directed_count("a", "b") == 2
+    assert context.directed_count("b", "a") == 1
+    assert context.directed_count("a", "c") == 0
+    # neighbourhoods read the larger direction from either end
+    assert similarity(context, "sn.graph.directed", "a", "b") == 2
+    assert similarity(context, "sn.graph.directed", "b", "a") == 2
 
 
 def test_common_neighbors_path_and_k4():
-    path = graph_from_edges([("a", "c"), ("c", "b")])
-    assert common_neighbors(path, "a", "b") == 1
-    lonely = graph_from_edges([], extra=("u", "v"))
-    assert common_neighbors(lonely, "u", "v") == 0
+    path = graph_context([("a", "c"), ("c", "b")])
+    assert similarity(path, "sn.graph.cn", "a", "b") == 1
+    lonely = graph_context([], extra=("u", "v"))
+    assert similarity(lonely, "sn.graph.cn", "u", "v") == 0
     users = ["w", "x", "y", "z"]
-    k4 = graph_from_edges([(u, v) for i, u in enumerate(users) for v in users[i + 1 :]])
+    k4 = graph_context([(u, v) for i, u in enumerate(users) for v in users[i + 1 :]])
     for i, u in enumerate(users):
         for v in users[i + 1 :]:
-            assert common_neighbors(k4, u, v) == 2
+            assert similarity(k4, "sn.graph.cn", u, v) == 2
 
 
 def test_jaccard_neighbors():
-    shared = graph_from_edges([("u", "c"), ("v", "c")])
-    assert jaccard_neighbors(shared, "u", "v") == 1.0
-    disjoint = graph_from_edges([("u", "c"), ("v", "d")])
-    assert jaccard_neighbors(disjoint, "u", "v") == 0.0
-    mixed = graph_from_edges([("u", "c"), ("u", "d"), ("v", "d"), ("v", "e")])
-    assert jaccard_neighbors(mixed, "u", "v") == pytest.approx(1 / 3)
+    shared = graph_context([("u", "c"), ("v", "c")])
+    assert similarity(shared, "sn.graph.jaccard", "u", "v") == 1.0
+    disjoint = graph_context([("u", "c"), ("v", "d")])
+    assert similarity(disjoint, "sn.graph.jaccard", "u", "v") == 0.0
+    mixed = graph_context([("u", "c"), ("u", "d"), ("v", "d"), ("v", "e")])
+    assert similarity(mixed, "sn.graph.jaccard", "u", "v") == pytest.approx(1 / 3)
 
 
 def test_adamic_adar_values():
     # one shared neighbour z of degree 2: 1/ln(2)
-    graph = graph_from_edges([("u", "z"), ("v", "z")])
-    assert adamic_adar(graph, "u", "v") == pytest.approx(1 / math.log(2), abs=1e-12)
+    context = graph_context([("u", "z"), ("v", "z")])
+    assert similarity(context, "sn.graph.aa", "u", "v") == pytest.approx(1 / math.log(2), abs=1e-12)
     # shared neighbours of degree 2 and 4: 1/ln(2) + 1/ln(4)
-    graph = graph_from_edges(
+    context = graph_context(
         [("u", "z1"), ("v", "z1"), ("u", "z2"), ("v", "z2"), ("z2", "w1"), ("z2", "w2")]
     )
     expected = 1 / math.log(2) + 1 / math.log(4)
-    assert adamic_adar(graph, "u", "v") == pytest.approx(expected, abs=1e-12)
-    assert adamic_adar(graph, "z1", "w1") == 0.0  # disjoint neighbourhoods
+    assert similarity(context, "sn.graph.aa", "u", "v") == pytest.approx(expected, abs=1e-12)
+    assert similarity(context, "sn.graph.aa", "z1", "w1") == 0.0  # disjoint neighbourhoods
 
 
 def test_adamic_adar_skips_degree_one_shared_neighbour():
-    # malformed adjacency (v missing from z's neighbours) would hit log(1)
-    graph = InteractionGraph(frozenset("uvz"), {("u", "z"): 1})
-    assert adamic_adar(graph, "u", "v") == 0.0
+    # a neighbour of degree 1 would divide by log(1) = 0
+    corpus = make_corpus(extra_users=("u", "v", "z"))
+    graph = InteractionGraph(corpus.users, [("u", "z")])
+    context = SimilarityContext(corpus, social_graph=graph)
+    assert similarity(context, "sn.graph.aa", "u", "v") == 0.0
 
 
 def test_neighborhood_overlap():
-    twins = graph_from_edges([("u", "c"), ("v", "c")])
-    assert neighborhood_overlap(twins, "u", "v") == 0.5
-    disjoint = graph_from_edges([("u", "c"), ("v", "d")])
-    assert neighborhood_overlap(disjoint, "u", "v") == 0.0
-    mixed = graph_from_edges(
+    twins = graph_context([("u", "c"), ("v", "c")])
+    assert similarity(twins, "sn.graph.no", "u", "v") == 0.5
+    disjoint = graph_context([("u", "c"), ("v", "d")])
+    assert similarity(disjoint, "sn.graph.no", "u", "v") == 0.0
+    mixed = graph_context(
         [("u", "c"), ("u", "d"), ("v", "d"), ("v", "e"), ("v", "f")]
     )
-    assert neighborhood_overlap(mixed, "u", "v") == pytest.approx(1 / 5)
-    empty = graph_from_edges([], extra=("u", "v"))
-    assert neighborhood_overlap(empty, "u", "v") == 0.0
+    assert similarity(mixed, "sn.graph.no", "u", "v") == pytest.approx(1 / 5)
+    empty = graph_context([], extra=("u", "v"))
+    assert similarity(empty, "sn.graph.no", "u", "v") == 0.0
 
 
 def test_preferential_attachment():
-    graph = graph_from_edges(
-        [("u", "a"), ("u", "b"), ("u", "c"), ("v", "a"), ("v", "b"), ("v", "c"), ("v", "d")]
+    context = graph_context(
+        [("u", "a"), ("u", "b"), ("u", "c"), ("v", "a"), ("v", "b"), ("v", "c"), ("v", "d")],
+        extra=("nobody",),
     )
-    assert preferential_attachment(graph, "u", "v") == 12
-    assert preferential_attachment(graph, "u", "nobody") == 0
-    pair = graph_from_edges([("x", "y")])
-    assert preferential_attachment(pair, "x", "y") == 1
+    assert similarity(context, "sn.graph.pa", "u", "v") == 12
+    assert similarity(context, "sn.graph.pa", "u", "nobody") == 0
+    pair = graph_context([("x", "y")])
+    assert similarity(pair, "sn.graph.pa", "x", "y") == 1
 
 
 # --- feature identifiers ------------------------------------------------
@@ -165,13 +180,19 @@ _sets = st.frozensets(st.sampled_from("abcdefghij"), max_size=8)
 
 @given(_sets, _sets)
 def test_content_feature_laws(a, b):
-    assert common_entities(a, b) == common_entities(b, a)
-    assert total_entities(a, b) == total_entities(b, a)
-    assert jaccard_entities(a, b) == jaccard_entities(b, a)
-    assert 0.0 <= jaccard_entities(a, b) <= 1.0
-    assert common_entities(a, b) <= min(len(a), len(b)) <= max(len(a), len(b)) <= total_entities(a, b)
-    if total_entities(a, b) > 0:
-        assert jaccard_entities(a, b) == common_entities(a, b) / total_entities(a, b)
+    context = groups_context(u=a, v=b)
+    common, total, jaccard = (
+        [similarity(context, f"sn.groups.{suffix}", x, y) for x, y in (("u", "v"), ("v", "u"))]
+        for suffix in ("common", "total", "jaccard")
+    )
+    # a target without data gets an empty neighbourhood, even under total
+    assert total == [len(a | b) if a else 0, len(a | b) if b else 0]
+    assert common[0] == common[1] <= min(len(a), len(b))
+    assert jaccard[0] == jaccard[1]
+    assert 0.0 <= jaccard[0] <= 1.0
+    for c, t, j in zip(common, total, jaccard):
+        if t > 0:
+            assert j == c / t
 
 
 _edges = st.lists(
@@ -184,13 +205,13 @@ _edges = st.lists(
 
 @given(_edges, st.integers(0, 9), st.integers(0, 9))
 def test_network_feature_laws(edges, i, j):
-    graph = graph_from_edges(edges, extra=("u0",))
+    context = graph_context(edges, extra=tuple(f"u{n}" for n in range(10)))
     u, v = f"u{i}", f"u{j}"
-    for feature in (common_neighbors, jaccard_neighbors, adamic_adar,
-                    neighborhood_overlap, preferential_attachment):
-        assert feature(graph, u, v) == feature(graph, v, u) >= 0
-    assert 0.0 <= jaccard_neighbors(graph, u, v) <= 1.0
-    assert 0.0 <= neighborhood_overlap(graph, u, v) <= 0.5
+    for suffix in ("directed", *oracles.NETWORK_FEATURES):
+        feature_id = f"sn.graph.{suffix}"
+        assert similarity(context, feature_id, u, v) == similarity(context, feature_id, v, u) >= 0
+    assert 0.0 <= similarity(context, "sn.graph.jaccard", u, v) <= 1.0
+    assert 0.0 <= similarity(context, "sn.graph.no", u, v) <= 0.5
 
 
 # --- k-nearest neighbours -----------------------------------------------
@@ -301,8 +322,6 @@ def test_directed_symmetrized_for_neighbourhoods():
     )
     context = SimilarityContext(corpus)
     assert context.k_nearest("sn.graph.directed", "a", 5).scored == (("b", 2.0), ("c", 1.0))
-    # the pure feature stays one-directional
-    assert directed_interactions(corpus, "a", "c") == 0
 
 
 def test_k_nearest_matches_bruteforce_oracle(small_corpus):
@@ -346,23 +365,15 @@ def test_k_nearest_oracle_on_full_sized_corpus(planted_corpus):
                 assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_context_scores_match_oracle_all_features(small_corpus):
+@pytest.mark.parametrize("feature_id", ALL_FEATURE_IDS)
+def test_k_nearest_matches_oracle_every_feature(small_corpus, feature_id):
+    """Every target's full neighbourhood equals the oracle's exactly, for every id."""
     context = SimilarityContext(small_corpus)
-    users = sorted(small_corpus.users)[:12]
-    sellers = oracles.seller_sets(small_corpus.purchases, small_corpus.products)
-    social_adj = oracles.adjacency_from_social(small_corpus.social)
-    event_adj = oracles.adjacency_from_colocation(small_corpus.locations)
-    for u in users:
-        for v in users:
-            if u == v:
-                continue
-            want = oracles.content_score(sellers.get(u, set()), sellers.get(v, set()), "common")
-            assert context.score("mp.sellers.common", u, v) == want
-            for suffix in oracles.NETWORK_FEATURES:
-                want = oracles.network_score(social_adj, u, v, suffix)
-                assert context.score(f"sn.graph.{suffix}", u, v) == pytest.approx(want, abs=1e-12)
-                want = oracles.network_score(event_adj, u, v, suffix)
-                assert context.score(f"loc.graph.{suffix}", u, v) == pytest.approx(want, abs=1e-12)
+    scorer = oracle_scorer(small_corpus, feature_id)
+    users = sorted(small_corpus.users)
+    for target in users:
+        got = context.k_nearest(feature_id, target, len(users)).scored
+        assert got == oracle_knn(users, target, len(users), scorer), target
 
 
 IDLE_USER = "zz-idle"
@@ -377,20 +388,12 @@ def planted_context(planted_corpus):
 
 @pytest.mark.parametrize("feature_id", ALL_FEATURE_IDS)
 def test_k_nearest_equals_exact_pairwise_ranking(planted_context, feature_id):
-    """Exact ``==`` with score() over every pair: no tolerance on any float."""
-    spec = parse_feature_id(feature_id)
+    """Exact ``==`` with the oracle's ranking of every pair: no tolerance on any float."""
     users = sorted(planted_context.corpus.users)
-    if spec.family == "content":
-        sets = planted_context.entity_sets(spec.entity_kind)
-        size = lambda user: len(sets.get(user, ()))  # noqa: E731
-    else:
-        size = planted_context.graph(spec.graph).degree
-    largest = min(users, key=lambda user: (-size(user), user))
+    scorer = oracle_scorer(planted_context.corpus, feature_id)
+    _, data = scorer
+    largest = min(users, key=lambda user: (-len(data(user)), user))
     for target in sorted({*users[::25], IDLE_USER, largest}):
-        ranking = sorted(
-            ((v, planted_context.score(spec, target, v)) for v in users if v != target),
-            key=lambda item: (-item[1], item[0]),
-        )
-        expected = tuple(item for item in ranking if item[1] > 0) if size(target) else ()
+        expected = oracle_knn(users, target, len(users), scorer)
         for k in sorted({1, len(expected) // 2 + 1, DEFAULT_K, len(expected) + 1}):
-            assert planted_context.k_nearest(spec, target, k).scored == expected[:k]
+            assert planted_context.k_nearest(feature_id, target, k).scored == expected[:k]
