@@ -26,7 +26,7 @@ from .recommender import (
     cf_products,
     most_popular,
     normalize_scores,
-    popularity_counts,
+    popularity_counts,  # unused here, but perfbench/tracer.py patches it under this name
     weighted_sum_hybrid,
 )
 from .simfeatures import DEFAULT_K, SimilarityContext, parse_feature_id
@@ -142,7 +142,11 @@ def category_distance(a: Product, b: Product) -> float:
     """
     if a.id == b.id:
         return 0.0
-    first, second = set(a.category_path), set(b.category_path)
+    return _category_set_distance(frozenset(a.category_path), frozenset(b.category_path))
+
+
+def _category_set_distance(first: frozenset[str], second: frozenset[str]) -> float:
+    """1 minus the Jaccard similarity of two category sets; 1 when either is empty."""
     if not first or not second:
         return 1.0
     return 1.0 - len(first & second) / len(first | second)
@@ -214,7 +218,7 @@ class EvalReport:
 
 
 class _Engine:
-    """Caches slices and recommendation lists over one split's training data."""
+    """Caches slices, recommendation lists and relevant sets over one split's training data."""
 
     def __init__(self, corpus, split, knn_k, list_length, social_graph=None, colocation_graph=None):
         self.corpus = corpus
@@ -230,7 +234,9 @@ class _Engine:
         self._product_lists: dict = {}
         self._task_lists: dict = {}
         self._popular_task: dict = {}
-        self._popular_counts: Optional[dict] = None
+        self._popular_ranking: Optional[tuple] = None
+        self._relevant: dict = {}
+        self._category_sets = {p.id: frozenset(p.category_path) for p in corpus.products.values()}
 
     def slice_for(self, feature_id, user):
         per_user = self._slices.setdefault(feature_id, {})
@@ -242,12 +248,12 @@ class _Engine:
         per_user = self._product_lists.setdefault(rec_id, {})
         if user not in per_user:
             if rec_id == MOST_POPULAR_ID:
-                if self._popular_counts is None:
-                    self._popular_counts = popularity_counts(self.training, "product")
+                if self._popular_ranking is None:
+                    self._popular_ranking = most_popular(self.training, "product", None).items
                 owned = self.purchase_sets.get(user, frozenset())
                 per_user[user] = most_popular(
                     self.training, "product", self.n, owned=owned, target=user,
-                    counts=self._popular_counts,
+                    ranking=self._popular_ranking,
                 )
             else:
                 per_user[user] = cf_products(
@@ -273,16 +279,20 @@ class _Engine:
         return per_user[user]
 
     def relevant(self, task, user) -> frozenset[str]:
-        withheld = self.split.test[user]
-        _, extract = TASK_LISTS[task]
-        if extract is None:
-            return withheld
-        categories = {extract(self.corpus.products[p]) for p in withheld}
-        categories.discard(None)
-        return frozenset(categories)
+        key = (task, user)
+        if key not in self._relevant:
+            relevant = self.split.test[user]
+            _, extract = TASK_LISTS[task]
+            if extract is not None:
+                relevant = frozenset(extract(self.corpus.products[p]) for p in relevant) - {None}
+            self._relevant[key] = relevant
+        return self._relevant[key]
 
     def item_distance(self, a: str, b: str) -> float:
-        return category_distance(self.corpus.products[a], self.corpus.products[b])
+        """category_distance by product id, over category sets built once per engine."""
+        if a == b:
+            return 0.0
+        return _category_set_distance(self._category_sets[a], self._category_sets[b])
 
 
 def _evaluate(engine: _Engine, name: str, produce, task: str, averaging: str):
@@ -310,9 +320,13 @@ def _evaluate(engine: _Engine, name: str, produce, task: str, averaging: str):
         ndcg_sum += ndcg_at_k(ids, relevant, n)
         recall_n += recall_at_k(ids, relevant, n)
         precision_n += precision_at_k(ids, relevant, n)
+        # one running hit count gives recall_at_k and precision_at_k for every curve k
+        hits = 0
         for k in CURVE_KS:
-            recall_sums[k] += recall_at_k(ids, relevant, k)
-            precision_sums[k] += precision_at_k(ids, relevant, k)
+            if k <= len(ids) and ids[k - 1] in relevant:
+                hits += 1
+            recall_sums[k] += hits / len(relevant) if relevant else 0.0
+            precision_sums[k] += hits / k
         product_ids = product_list.item_ids()
         if len(product_ids) < 2:
             short_product_lists += 1
@@ -339,6 +353,16 @@ def _evaluate(engine: _Engine, name: str, produce, task: str, averaging: str):
         "short_product_lists": short_product_lists,
     }
     return row, curves, diagnostics
+
+
+def _harsh_ndcg(engine: _Engine, rec_id: str, task: str) -> float:
+    """Harsh mean nDCG@N of one recommender's task lists: _evaluate's row.ndcg alone."""
+    eligible = sorted(engine.split.eligible)
+    ndcg_sum = 0.0
+    for user in eligible:
+        ids = engine.task_list(rec_id, task, user).item_ids()
+        ndcg_sum += ndcg_at_k(ids, engine.relevant(task, user), engine.n)
+    return ndcg_sum / len(eligible) if eligible else 0.0
 
 
 def run_experiment(
@@ -376,24 +400,12 @@ def run_experiment(
         nonlocal inner_engine
         if component not in quality_cache:
             if inner_engine is None:
-                inner_split = make_weighting_split(split, weighting_seed)
                 inner_engine = _Engine(
-                    corpus,
-                    inner_split,
-                    knn_k,
-                    list_length,
+                    corpus, make_weighting_split(split, weighting_seed), knn_k, list_length,
                     social_graph=engine.context.built_graph("social"),
                     colocation_graph=engine.context.built_graph("colocation"),
                 )
-            inner = inner_engine
-            row, _, _ = _evaluate(
-                inner,
-                component,
-                lambda user: (inner.product_list(component, user), inner.task_list(component, task, user)),
-                task,
-                "harsh",
-            )
-            quality_cache[component] = row.ndcg
+            quality_cache[component] = _harsh_ndcg(inner_engine, component, task)
         return quality_cache[component]
 
     report = EvalReport(task=task, list_length=list_length)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Mapping, Optional, Sequence
 
 from .corpus import Corpus, low_level_category, top_level_category
 from .simfeatures import SimilarityMatrixSlice
@@ -77,22 +78,24 @@ def popularity_counts(corpus: Corpus, kind: str) -> dict[str, int]:
 def most_popular(
     corpus: Corpus,
     kind: str,
-    n: int = DEFAULT_N,
+    n: Optional[int] = DEFAULT_N,
     owned: frozenset[str] = frozenset(),
     target: str = "",
-    counts: Optional[Mapping[str, int]] = None,
+    ranking: Optional[Sequence[tuple[str, float]]] = None,
 ) -> RecommendationList:
     """Most purchased items overall; ``owned`` products are excluded for product lists.
 
-    ``counts`` accepts a precomputed popularity_counts() table so callers
-    serving many users do not recount the purchase rows per request.
+    ``ranking`` accepts every item as (item, float(count)) by descending count,
+    ties by ascending id, as ``most_popular(corpus, kind, None).items`` gives it,
+    so callers serving many users rank once; each list then walks it, skipping
+    owned products, until it has ``n`` items. Without one it is ranked here.
     """
-    if counts is None:
+    if ranking is None:
         counts = popularity_counts(corpus, kind)
+        ranking = _ranked({item: float(c) for item, c in counts.items()}, None)
     if kind == "product":
-        counts = {item: c for item, c in counts.items() if item not in owned}
-    scores = {item: float(c) for item, c in counts.items()}
-    return RecommendationList(target=target, kind=kind, items=_ranked(scores, n))
+        ranking = (entry for entry in ranking if entry[0] not in owned)
+    return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))
 
 
 def cf_candidate_scores(

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from marketrec.corpus import Product, entity_sets, with_purchases
 from marketrec.evalharness import (
+    CURVE_KS,
+    TASKS,
     EvalReport,
     HybridDef,
     _Engine,
     _evaluate,
+    _harsh_ndcg,
     category_distance,
     diversity_at_k,
     format_curves_table,
@@ -19,9 +24,10 @@ from marketrec.evalharness import (
     write_report,
 )
 from marketrec.recommender import RecommendationList, cf_products
-from marketrec.simfeatures import SimilarityContext, UnknownFeatureError
+from marketrec.simfeatures import DEFAULT_K, SimilarityContext, UnknownFeatureError
 
-from helpers import make_corpus
+from conftest import PLANTED_SPLIT_SEED
+from helpers import ALL_RECOMMENDERS, make_corpus
 import oracles
 
 APPROX = dict(abs=1e-9)
@@ -279,6 +285,65 @@ def test_category_task_relevance_and_zeroes():
     row = report.rows[0]
     assert row.ndcg == 0.0 and row.recall == 0.0 and row.precision == 0.0
     assert row.coverage == 1.0  # product recommendations still exist
+
+
+def _curve_corpus():
+    """Seven buyers of 14 of the first 30 products, plus "bare", who buys only uncategorized ones."""
+    rng = random.Random(5)
+    products = [(f"c{i:02d}", "s", (f"T{i % 3}", f"L{i}")) for i in range(22)]
+    products += [(f"x{i}", "s", ()) for i in range(8)] + [(f"y{i:02d}", "s", ()) for i in range(11)]
+    purchases = [(f"u{u}", pid) for u in range(7) for pid, _, _ in rng.sample(products[:30], 14)]
+    purchases += [("bare", f"y{i:02d}") for i in range(11)]
+    return make_corpus(products=products, purchases=purchases)
+
+
+@pytest.mark.parametrize("list_length", [3, 15])
+@pytest.mark.parametrize("task", TASKS)
+def test_curve_points_equal_mean_oracle_recall_and_precision(task, list_length):
+    corpus = _curve_corpus()
+    split = make_split(corpus, seed=2)
+    assert "bare" in split.eligible and len(split.eligible) == 8
+    recommenders = ["most_popular", "mp.purchases.jaccard"]
+    report = run_experiment(corpus, split, recommenders, task, knn_k=3, list_length=list_length)
+    engine = _Engine(corpus, split, 3, list_length)
+    level = {"products": None, "top_categories": 0, "low_categories": -1}[task]
+    lengths = set()
+    for rec_id in recommenders:
+        recall_sums, precision_sums = [0.0] * 10, [0.0] * 10
+        for user in sorted(split.eligible):
+            ids = engine.task_list(rec_id, task, user).item_ids()
+            lengths.add(len(ids))
+            relevant = set(split.test[user])
+            if level is not None:
+                paths = (corpus.products[p].category_path for p in split.test[user])
+                relevant = {path[level] for path in paths if path}
+                if user == "bare":
+                    assert relevant == set()
+            for k in CURVE_KS:
+                recall_sums[k - 1] += oracles.recall(ids, relevant, k)
+                precision_sums[k - 1] += oracles.precision(ids, relevant, k)
+        points = [(p.k, p.recall, p.precision) for p in report.curves if p.recommender == rec_id]
+        total = len(split.eligible)
+        assert points == [
+            (k, recall_sums[k - 1] / total, precision_sums[k - 1] / total) for k in CURVE_KS
+        ]
+    # three top categories only; otherwise some lists run past the curve's k = 10
+    if list_length == 15 and task != "top_categories":
+        assert max(lengths) > 10
+
+
+def test_ndcg_only_weight_quality_equals_full_evaluation(planted_corpus):
+    split = make_split(planted_corpus, PLANTED_SPLIT_SEED)
+    (derived,) = [r for r in ALL_RECOMMENDERS if isinstance(r, HybridDef) and r.weights is None]
+    for task in TASKS:
+        inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10)
+        for component in derived.components:
+
+            def produce(user):
+                return inner.product_list(component, user), inner.task_list(component, task, user)
+
+            expected = _evaluate(inner, component, produce, task, "harsh")[0].ndcg
+            assert _harsh_ndcg(inner, component, task) == expected
 
 
 def test_harsh_vs_skip_averaging():

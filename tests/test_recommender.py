@@ -66,6 +66,45 @@ def test_most_popular_tie_break():
     assert most_popular(corpus, "product", 2).item_ids() == ("pa", "pb")
 
 
+# Few products, buyers and categories, so purchase counts tie often.
+POPULAR_PATHS = {
+    "p0": ("A", "A1"), "p1": ("A", "A2"), "p2": ("A", "A1"), "p3": ("B", "B1"),
+    "p4": ("B",), "p5": (), "p6": ("C", "C1"), "p7": (),
+}
+POPULAR_KINDS = {"product": None, "top_category": 0, "low_category": -1}
+
+
+@given(
+    purchases=st.lists(
+        st.tuples(st.sampled_from("abcd"), st.sampled_from(sorted(POPULAR_PATHS))), max_size=24
+    ),
+    owned=st.frozensets(st.sampled_from(sorted(POPULAR_PATHS))),
+    kind=st.sampled_from(sorted(POPULAR_KINDS)),
+    length=st.sampled_from(["one", "pool", "past", "all"]),
+)
+def test_most_popular_precomputed_ranking_matches_ranking_per_call(purchases, owned, kind, length):
+    corpus = make_corpus(
+        products=[(pid, "s", path) for pid, path in POPULAR_PATHS.items()], purchases=purchases
+    )
+    level = POPULAR_KINDS[kind]
+    counts = {}
+    for _, pid in purchases:
+        path = POPULAR_PATHS[pid]
+        key = pid if level is None else (path[level] if path else None)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    excluded = owned if kind == "product" else frozenset()
+    pool = {item: float(c) for item, c in counts.items() if item not in excluded}
+    n = {"one": 1, "pool": len(pool), "past": len(pool) + 3, "all": None}[length]
+
+    ranking = most_popular(corpus, kind, None).items
+    assert list(ranking) == oracles.ranked({item: float(c) for item, c in counts.items()}, None)
+    precomputed = most_popular(corpus, kind, n, owned=owned, target="t", ranking=ranking)
+    per_call = most_popular(corpus, kind, n, owned=owned, target="t")
+    assert precomputed == per_call
+    assert list(per_call.items) == oracles.ranked(pool, n)
+
+
 # --- user-based CF --------------------------------------------------------
 
 
