@@ -2,40 +2,57 @@
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable
 
 from .corpus import Corpus
 
-_EMPTY: frozenset[str] = frozenset()
+_ONE = re.compile("1")
+
+
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return [match.start() for match in _ONE.finditer(bin(mask)[:1:-1])]
 
 
 class InteractionGraph:
-    """Undirected user graph held as adjacency sets.
+    """Undirected user graph held as one neighbour bitmask per user.
 
-    An edge links two users who share at least one underlying action; how
-    often they do is not kept, because no similarity feature reads it.
-    There are no self-loops, and adjacency is symmetric by construction.
+    Each pair in ``edges`` and every two members of each set in ``groups``
+    share an edge: at least one shared action, whose count no feature reads.
+    Bit i of ``masks[j]`` links ``users[i]`` and ``users[j]``. ``users`` is
+    sorted by id, so ascending set bits are neighbours in ascending id order.
     """
 
-    def __init__(self, vertices: frozenset[str], edges: Iterable[tuple[str, str]]):
-        adjacency: dict[str, set[str]] = defaultdict(set)
+    def __init__(self, vertices: frozenset[str], edges: Iterable[tuple[str, str]] = (),
+                 groups: Iterable[set[str]] = ()):
+        edges, groups = list(edges), list(groups)
+        self.vertices = vertices
+        self.users = sorted(vertices.union(chain.from_iterable(edges), *groups))
+        self.index = index = {user: i for i, user in enumerate(self.users)}
+        self.masks = masks = [0] * len(self.users)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self.vertices = vertices
-        self._adjacency = {user: frozenset(nbrs) for user, nbrs in adjacency.items()}
+            masks[index[u]] |= 1 << index[v]
+            masks[index[v]] |= 1 << index[u]
+        for group in groups:
+            positions = {index[user] for user in group}
+            clique = sum(1 << i for i in positions)
+            for i in positions:
+                masks[i] |= clique ^ (1 << i)
+        self.degrees = [mask.bit_count() for mask in masks]
 
     def neighbors(self, user: str) -> frozenset[str]:
         """All users sharing an edge with ``user``; empty for isolated or unknown users."""
-        return self._adjacency.get(user, _EMPTY)
+        bits = set_bits(self.masks[self.index[user]]) if user in self.index else ()
+        return frozenset(map(self.users.__getitem__, bits))
 
     def degree(self, user: str) -> int:
-        return len(self._adjacency.get(user, _EMPTY))
+        return self.degrees[self.index[user]] if user in self.index else 0
 
     @cached_property
     def by_degree(self) -> list[tuple[str, int]]:
@@ -56,12 +73,11 @@ def build_social_graph(corpus: Corpus) -> InteractionGraph:
 def build_colocation_graph(corpus: Corpus) -> InteractionGraph:
     """Graph over all corpus users linking attendees of the same event.
 
-    Only monitored location records participate: every unordered pair of
-    distinct attendees of one event key is an edge.
+    Only monitored location records participate: all attendees of one event
+    key are linked, by one group per event that is never expanded into pairs.
     """
     attendees: dict[str, set[str]] = defaultdict(set)
     for record in corpus.locations:
         if record.kind == "monitored":
             attendees[record.event_key].add(record.user)
-    pairs = chain.from_iterable(combinations(users, 2) for users in attendees.values())
-    return InteractionGraph(corpus.users, pairs)
+    return InteractionGraph(corpus.users, groups=attendees.values())

@@ -20,7 +20,7 @@ from itertools import chain, islice
 from typing import Optional
 
 from .corpus import Corpus, entity_sets
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, set_bits
 
 DEFAULT_K = 40
 
@@ -146,6 +146,7 @@ class SimilarityContext:
         }
         self._entity_sets: dict[str, dict[str, frozenset[str]]] = {}
         self._entity_index: dict[str, dict[str, set[str]]] = {}
+        self._by_size: dict[str, list[tuple[str, int]]] = {}
         self._directed: dict[tuple[str, str], int] | None = None
 
     def built_graph(self, name: str) -> InteractionGraph | None:
@@ -166,6 +167,13 @@ class SimilarityContext:
         if kind not in self._entity_sets:
             self._entity_sets[kind] = entity_sets(self.corpus, kind)
         return self._entity_sets[kind]
+
+    def by_size(self, kind: str) -> list[tuple[str, int]]:
+        """Every user with their entity count for ``kind``, largest first, ties by id."""
+        if kind not in self._by_size:
+            ranked = sorted((-len(values), user) for user, values in self.entity_sets(kind).items())
+            self._by_size[kind] = [(user, -m) for m, user in ranked]
+        return self._by_size[kind]
 
     def entity_index(self, kind: str) -> dict[str, set[str]]:
         """Inverted index entity id -> users holding it, for counting shared entities."""
@@ -196,11 +204,13 @@ class SimilarityContext:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         best = heapq.nsmallest(k, ((-s, v) for v, s in self._scores(spec, target, k).items()))
-        return SimilarityMatrixSlice(target=target, scored=tuple((v, -s) for s, v in best))
+        names = self.graph(spec.graph).users if spec.graph else None
+        return SimilarityMatrixSlice(target, tuple((names[v] if names else v, -s) for s, v in best))
 
-    def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str, float]:
+    def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str | int, float]:
         """Positive scores of every user that can make the top-k.
 
+        Keys are user ids, or for a graph feature positions in its id-sorted ``users``.
         Each score is bit-identical to the definition in tests/oracles.py.
         ``directed`` is the larger of the two one-directional counts, so that
         it yields a neighbourhood like every other feature.
@@ -209,37 +219,51 @@ class SimilarityContext:
             sets = self.entity_sets(spec.entity_kind)
             own = sets.get(target, frozenset())
             index = self.entity_index(spec.entity_kind)
-            shared = Counter(chain.from_iterable(index[entity] for entity in own))
-            size = lambda v: len(sets.get(v, ()))  # noqa: E731
+            counts = Counter(chain.from_iterable(index[entity] for entity in own))
+            del counts[target]
+            n, shared, size = len(own), counts.items(), lambda v: len(sets.get(v, ()))  # noqa: E731
         else:
             graph = self.graph(spec.graph)
-            own = graph.neighbors(target)
+            i = graph.index.get(target, -1)
+            own = graph.masks[i] if i >= 0 else 0
+            if not own:
+                return {}
+            masks, n, size = graph.masks, graph.degrees[i], graph.degrees.__getitem__
             if spec.feature == "directed_interactions":
                 count = self.directed_count
-                return {v: float(max(count(target, v), count(v, target))) for v in own}
+                named = ((v, graph.users[v]) for v in set_bits(own))
+                return {v: float(max(count(target, u), count(u, target))) for v, u in named}
             if spec.feature == "preferential_attachment":
                 ranked = (entry for entry in graph.by_degree if entry[0] != target)
-                return {v: float(len(own) * d) for v, d in islice(ranked, k)} if own else {}
+                return {graph.index[v]: float(n * d) for v, d in islice(ranked, k)}
             if spec.feature == "adamic_adar":
-                # z in sorted order adds each pair's terms in the oracle's order; a
+                # z in ascending id order adds each pair's terms in the oracle's order; a
                 # neighbour of degree 1 links only to the target, and log(1) = 0
-                scores: dict[str, float] = {}
-                for z in sorted(own):
-                    if graph.degree(z) > 1:
-                        weight = 1.0 / math.log(graph.degree(z))
-                        for v in graph.neighbors(z):
-                            scores[v] = scores.get(v, 0.0) + weight
-                scores.pop(target, None)
-                return scores
-            shared = Counter(chain.from_iterable(graph.neighbors(z) for z in own))
-            size = graph.degree
-        del shared[target]
-        n = len(own)
+                sums: dict[int, float] = {}
+                for z in set_bits(own):
+                    if size(z) > 1:
+                        weight = 1.0 / math.log(size(z))
+                        for v in set_bits(masks[z] ^ (1 << i)):
+                            sums[v] = sums.get(v, 0.0) + weight
+                return sums
+            # every user two hops away shares c >= 1 neighbours with the target
+            reach = 0
+            for z in set_bits(own):
+                reach |= masks[z]
+            shared = ((v, (own & masks[v]).bit_count()) for v in set_bits(reach ^ (1 << i)))
         if spec.feature in ("common_entities", "common_neighbors"):
-            return {v: float(c) for v, c in shared.items()}
+            return {v: float(c) for v, c in shared}
         if spec.feature in ("jaccard_entities", "jaccard_neighbors"):
-            return {v: c / (n + size(v) - c) for v, c in shared.items()}
+            return {v: c / (n + size(v) - c) for v, c in shared}
         if spec.feature == "neighborhood_overlap":
-            return {v: c / (n + size(v)) for v, c in shared.items()}
-        # total entities: unless the target has none, every other user scores
-        return {v: float(n + size(v) - shared[v]) for v in self.corpus.users - {target}} if n else {}
+            return {v: c / (n + size(v)) for v, c in shared}
+        # total entities: unless the target has none, every other user scores. Walk users
+        # largest first; once n + size is below the k-th best score, no later user ties it
+        scores, best = {}, []
+        for v, m in self.by_size(spec.entity_kind) if n else ():
+            if len(best) == k and best[0] > n + m:
+                break
+            if v != target:
+                scores[v] = score = float(n + m - counts[v])
+                (heapq.heappushpop if len(best) == k else heapq.heappush)(best, score)
+        return scores

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph
+from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph, set_bits
 
 from helpers import make_corpus
 import oracles
@@ -107,6 +109,48 @@ def test_neighbors_isolated_edge_star():
     assert graph.neighbors("unknown-user") == frozenset()
     assert graph.neighbors("x") == {"y"}
     assert graph.neighbors("hub") == {f"leaf{i}" for i in range(5)}
+
+
+def test_edge_cases_outside_vertices():
+    # x is an endpoint but not a vertex; c is an isolated vertex
+    graph = InteractionGraph(frozenset({"a", "b", "c"}), [("a", "x"), ("x", "y"), ("b", "x")])
+    assert graph.neighbors("x") == {"a", "b", "y"}
+    assert graph.degree("x") == 3
+    assert graph.neighbors("y") == {"x"}
+    assert graph.neighbors("unknown") == frozenset()
+    assert graph.degree("unknown") == 0
+    assert graph.degree("c") == 0
+    assert graph.by_degree == [("a", 1), ("b", 1)]
+
+
+def test_groups_link_every_two_members():
+    graph = InteractionGraph(frozenset({"a", "b"}), [("a", "b")], groups=[{"b", "c", "d"}, {"e"}])
+    neighbours = {user: graph.neighbors(user) for user in "abcde"}
+    assert neighbours == {"a": {"b"}, "b": {"a", "c", "d"}, "c": {"b", "d"}, "d": {"b", "c"}, "e": set()}
+    assert graph.by_degree == [("b", 3), ("a", 1)]
+
+
+def test_set_bits_ascending():
+    assert set_bits(0) == []
+    assert set_bits(0b1011) == [0, 1, 3]
+    assert set_bits(1 << 5000 | 1 << 64 | 1) == [0, 64, 5000]
+
+
+def test_one_large_event_builds_in_bounded_memory():
+    """2,000 attendees among 3,000 users: about 2 M pairs, built from one mask per user."""
+    users = [f"u{i:04d}" for i in range(3000)]
+    rows = [(user, "l1", "monitored", "e1") for user in users[:2000]]
+    corpus = make_corpus(locations=rows, extra_users=users)
+    tracemalloc.start()
+    try:
+        graph = build_colocation_graph(corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert graph.degree(users[0]) == graph.degree(users[1999]) == 1999
+    assert graph.degree(users[2000]) == 0
+    assert graph.neighbors(users[1999]) == frozenset(users[:1999])
 
 
 def test_graph_rejects_self_loops():

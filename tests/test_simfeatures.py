@@ -214,6 +214,30 @@ def test_network_feature_laws(edges, i, j):
     assert 0.0 <= similarity(context, "sn.graph.no", u, v) <= 0.5
 
 
+_members = st.integers(0, 13).map("u{}".format)
+_events = st.lists(st.lists(_members, min_size=1, max_size=10), max_size=6)
+_pairs = st.lists(st.tuples(_members, _members).filter(lambda e: e[0] != e[1]), max_size=30)
+GRAPH_FEATURE_IDS = tuple(f for f in ALL_FEATURE_IDS if parse_feature_id(f).family == "network")
+
+
+@given(_events, _pairs)
+def test_graph_features_match_oracle_on_random_graphs(events, pairs):
+    """Overlapping events of mixed sizes and random pairs: every target, full k, exact ``==``."""
+    locations = [(u, f"l{e}", "monitored", f"e{e}") for e, attendees in enumerate(events) for u in attendees]
+    corpus = make_corpus(
+        social=[(u, v, "love") for u, v in pairs],
+        locations=locations,
+        extra_users=tuple(f"u{n}" for n in range(14)),
+    )
+    context = SimilarityContext(corpus)
+    users = sorted(corpus.users)
+    for feature_id in GRAPH_FEATURE_IDS:
+        scorer = oracle_scorer(corpus, feature_id)
+        for target in users:
+            got = context.k_nearest(feature_id, target, len(users)).scored
+            assert got == oracle_knn(users, target, len(users), scorer), (feature_id, target)
+
+
 # --- k-nearest neighbours -----------------------------------------------
 
 
@@ -277,6 +301,31 @@ def test_k_nearest_total_tie_cut():
     context = SimilarityContext(corpus)
     assert context.k_nearest("mp.purchases.total", "t", 1).scored == (("a", 3.0),)
     assert context.k_nearest("mp.purchases.total", "t", 2).scored == (("a", 3.0), ("b", 3.0))
+
+
+def test_k_nearest_total_tie_at_the_stop_point():
+    # t = {p1, p2}. By size, z = {p1, p3, p4} comes first and scores 2 + 3 - 1 = 4;
+    # a = {p3, p4} scores 4 too, equal to its bound n + size, so the walk must not stop
+    # before it; b = {p1} scores 2 + 1 - 1 = 2
+    corpus = make_corpus(
+        products=[(f"p{i}", "s", ()) for i in range(1, 5)],
+        purchases=[
+            ("t", "p1"), ("t", "p2"),
+            ("z", "p1"), ("z", "p3"), ("z", "p4"),
+            ("a", "p3"), ("a", "p4"),
+            ("b", "p1"),
+        ],
+        extra_users=("e",),
+    )
+    context = SimilarityContext(corpus)
+    assert context.k_nearest("mp.purchases.total", "t", 1).scored == (("a", 4.0),)
+    assert context.k_nearest("mp.purchases.total", "t", 2).scored == (("a", 4.0), ("z", 4.0))
+    users = sorted(corpus.users)
+    scorer = oracle_scorer(corpus, "mp.purchases.total")
+    for target in users:
+        expected = oracle_knn(users, target, len(users), scorer)
+        for k in range(1, len(users) + 1):
+            assert context.k_nearest("mp.purchases.total", target, k).scored == expected[:k]
 
 
 def test_k_nearest_common_neighbours_tie_cut():
