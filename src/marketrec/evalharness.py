@@ -157,17 +157,23 @@ def diversity_at_k(
 ) -> float:
     """Mean pairwise distance over all ordered pairs in the (truncated) list.
 
-    Lists with fewer than two items have no pairs and contribute 0.
+    ``distance`` must be symmetric: each unordered pair is measured once and
+    its value added for both orders, in ordered-pair sequence. Lists with
+    fewer than two items have no pairs and contribute 0.
     """
     items = list(recommended[:k]) if k is not None else list(recommended)
     m = len(items)
     if m < 2:
         return 0.0
-    total = 0.0
+    rows = [[0.0] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
-            if i != j:
-                total += distance(items[i], items[j])
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = distance(items[i], items[j])
+    # adding the 0.0 diagonal leaves every partial sum unchanged
+    total = 0.0
+    for row in rows:
+        for value in row:
+            total += value
     return total / (m * (m - 1))
 
 
@@ -218,15 +224,19 @@ class EvalReport:
 
 
 class _Engine:
-    """Caches slices, recommendation lists and relevant sets over one split's training data."""
+    """Caches slices, recommendation lists and relevant sets over one split's training data.
 
-    def __init__(self, corpus, split, knn_k, list_length, social_graph=None, colocation_graph=None):
+    An engine over a split of ``outer``'s training data takes graph-feature
+    slices from ``outer``: they read only graphs and social rows, which no
+    split changes.
+    """
+
+    def __init__(self, corpus, split, knn_k, list_length, outer: Optional[_Engine] = None):
         self.corpus = corpus
         self.split = split
+        self.outer = outer
         self.training = with_purchases(corpus, split.training)
-        self.context = SimilarityContext(
-            self.training, social_graph=social_graph, colocation_graph=colocation_graph
-        )
+        self.context = SimilarityContext(self.training)
         self.purchase_sets = self.context.entity_sets("purchases")
         self.knn_k = knn_k
         self.n = list_length
@@ -236,9 +246,17 @@ class _Engine:
         self._popular_task: dict = {}
         self._popular_ranking: Optional[tuple] = None
         self._relevant: dict = {}
-        self._category_sets = {p.id: frozenset(p.category_path) for p in corpus.products.values()}
+        classes: dict[frozenset[str], int] = {}
+        self._category_class = {
+            p.id: classes.setdefault(frozenset(p.category_path), len(classes))
+            for p in corpus.products.values()
+        }
+        self._class_sets = tuple(classes)
+        self._distances: dict[tuple[int, int], float] = {}
 
     def slice_for(self, feature_id, user):
+        if self.outer is not None and parse_feature_id(feature_id).graph:
+            return self.outer.slice_for(feature_id, user)
         per_user = self._slices.setdefault(feature_id, {})
         if user not in per_user:
             per_user[user] = self.context.k_nearest(feature_id, user, self.knn_k)
@@ -289,10 +307,16 @@ class _Engine:
         return self._relevant[key]
 
     def item_distance(self, a: str, b: str) -> float:
-        """category_distance by product id, over category sets built once per engine."""
+        """category_distance by product id, memoised per unordered pair of category-set classes."""
         if a == b:
             return 0.0
-        return _category_set_distance(self._category_sets[a], self._category_sets[b])
+        first, second = self._category_class[a], self._category_class[b]
+        key = (first, second) if first <= second else (second, first)
+        distance = self._distances.get(key)
+        if distance is None:
+            sets = self._class_sets
+            distance = self._distances[key] = _category_set_distance(sets[first], sets[second])
+        return distance
 
 
 def _evaluate(engine: _Engine, name: str, produce, task: str, averaging: str):
@@ -402,8 +426,7 @@ def run_experiment(
             if inner_engine is None:
                 inner_engine = _Engine(
                     corpus, make_weighting_split(split, weighting_seed), knn_k, list_length,
-                    social_graph=engine.context.built_graph("social"),
-                    colocation_graph=engine.context.built_graph("colocation"),
+                    outer=engine,
                 )
             quality_cache[component] = _harsh_ndcg(inner_engine, component, task)
         return quality_cache[component]

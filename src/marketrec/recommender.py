@@ -104,7 +104,7 @@ def cf_candidate_scores(
     """Score every product owned by a neighbour but not by the target.
 
     The score of an item is the sum of the similarities of the neighbours
-    that own it. Returns the full (untruncated) candidate pool.
+    that own it, added in slice order. Returns the full (untruncated) candidate pool.
     """
     owned = purchase_sets.get(slice_.target, frozenset())
     scores: dict[str, float] = {}
@@ -138,16 +138,20 @@ def cf_categories(
 ) -> RecommendationList:
     """Category predictions derived from the full CF product candidate pool.
 
-    Each candidate product contributes its top- or low-level category once;
-    a category's score is its share of all extracted category occurrences.
+    The pool is every product a neighbour owns and the target does not, the
+    keys of ``cf_candidate_scores``; shares need no similarity sums. Each
+    candidate product contributes its top- or low-level category once; a
+    category's score is its share of all extracted category occurrences.
     Products without categories are skipped.
     """
     kind, extract = TASK_LISTS.get(f"{level}_categories", (None, None))
     if extract is None:
         raise ValueError(f"level must be 'top' or 'low', got {level!r}")
+    owned = purchase_sets.get(slice_.target, frozenset())
+    pool = frozenset().union(*(purchase_sets.get(v, ()) for v, _ in slice_.scored)) - owned
     counts: dict[str, int] = {}
     total = 0
-    for item in cf_candidate_scores(slice_, purchase_sets):
+    for item in pool:
         category = extract(corpus.products[item])
         if category is None:
             continue

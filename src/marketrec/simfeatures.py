@@ -146,12 +146,9 @@ class SimilarityContext:
         }
         self._entity_sets: dict[str, dict[str, frozenset[str]]] = {}
         self._entity_index: dict[str, dict[str, set[str]]] = {}
+        self._sizes: dict[str, dict[str, int]] = {}
         self._by_size: dict[str, list[tuple[str, int]]] = {}
         self._directed: dict[tuple[str, str], int] | None = None
-
-    def built_graph(self, name: str) -> InteractionGraph | None:
-        """The named graph if it was supplied or already built, else None."""
-        return self._graphs.get(name)
 
     def graph(self, name: str) -> InteractionGraph:
         if self._graphs.get(name) is None:
@@ -168,10 +165,16 @@ class SimilarityContext:
             self._entity_sets[kind] = entity_sets(self.corpus, kind)
         return self._entity_sets[kind]
 
+    def _set_sizes(self, kind: str) -> dict[str, int]:
+        """Every user's entity count for ``kind``."""
+        if kind not in self._sizes:
+            self._sizes[kind] = {user: len(values) for user, values in self.entity_sets(kind).items()}
+        return self._sizes[kind]
+
     def by_size(self, kind: str) -> list[tuple[str, int]]:
         """Every user with their entity count for ``kind``, largest first, ties by id."""
         if kind not in self._by_size:
-            ranked = sorted((-len(values), user) for user, values in self.entity_sets(kind).items())
+            ranked = sorted((-m, user) for user, m in self._set_sizes(kind).items())
             self._by_size[kind] = [(user, -m) for m, user in ranked]
         return self._by_size[kind]
 
@@ -216,19 +219,18 @@ class SimilarityContext:
         it yields a neighbourhood like every other feature.
         """
         if spec.family == "content":
-            sets = self.entity_sets(spec.entity_kind)
-            own = sets.get(target, frozenset())
+            own = self.entity_sets(spec.entity_kind).get(target, frozenset())
             index = self.entity_index(spec.entity_kind)
             counts = Counter(chain.from_iterable(index[entity] for entity in own))
             del counts[target]
-            n, shared, size = len(own), counts.items(), lambda v: len(sets.get(v, ()))  # noqa: E731
+            n, shared, size = len(own), counts.items(), self._set_sizes(spec.entity_kind)
         else:
             graph = self.graph(spec.graph)
             i = graph.index.get(target, -1)
             own = graph.masks[i] if i >= 0 else 0
             if not own:
                 return {}
-            masks, n, size = graph.masks, graph.degrees[i], graph.degrees.__getitem__
+            masks, n, size = graph.masks, graph.degrees[i], graph.degrees
             if spec.feature == "directed_interactions":
                 count = self.directed_count
                 named = ((v, graph.users[v]) for v in set_bits(own))
@@ -241,8 +243,8 @@ class SimilarityContext:
                 # neighbour of degree 1 links only to the target, and log(1) = 0
                 sums: dict[int, float] = {}
                 for z in set_bits(own):
-                    if size(z) > 1:
-                        weight = 1.0 / math.log(size(z))
+                    if size[z] > 1:
+                        weight = 1.0 / math.log(size[z])
                         for v in set_bits(masks[z] ^ (1 << i)):
                             sums[v] = sums.get(v, 0.0) + weight
                 return sums
@@ -254,9 +256,9 @@ class SimilarityContext:
         if spec.feature in ("common_entities", "common_neighbors"):
             return {v: float(c) for v, c in shared}
         if spec.feature in ("jaccard_entities", "jaccard_neighbors"):
-            return {v: c / (n + size(v) - c) for v, c in shared}
+            return {v: c / (n + size[v] - c) for v, c in shared}
         if spec.feature == "neighborhood_overlap":
-            return {v: c / (n + size(v)) for v, c in shared}
+            return {v: c / (n + size[v]) for v, c in shared}
         # total entities: unless the target has none, every other user scores. Walk users
         # largest first; once n + size is below the k-th best score, no later user ties it
         scores, best = {}, []

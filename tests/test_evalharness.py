@@ -1,6 +1,9 @@
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
 from marketrec.corpus import Product, entity_sets, with_purchases
 from marketrec.evalharness import (
@@ -24,7 +27,13 @@ from marketrec.evalharness import (
     write_report,
 )
 from marketrec.recommender import RecommendationList, cf_products
-from marketrec.simfeatures import DEFAULT_K, SimilarityContext, UnknownFeatureError
+from marketrec.simfeatures import (
+    ALL_FEATURE_IDS,
+    DEFAULT_K,
+    SimilarityContext,
+    UnknownFeatureError,
+    parse_feature_id,
+)
 
 from conftest import PLANTED_SPLIT_SEED
 from helpers import ALL_RECOMMENDERS, make_corpus
@@ -180,6 +189,48 @@ def test_diversity_golden_values():
     assert diversity_at_k([], dist) == 0.0
     # k truncation applies before pairing
     assert diversity_at_k(["a", "b", "c"], dist, 2) == pytest.approx(0.5, **APPROX)
+
+
+DIVERSITY_IDS = "abcdef"
+DIVERSITY_PAIRS = list(combinations_with_replacement(DIVERSITY_IDS, 2))
+
+
+@given(
+    items=st.lists(st.sampled_from(DIVERSITY_IDS), max_size=12),
+    table=st.lists(
+        st.floats(0.0, 1.0), min_size=len(DIVERSITY_PAIRS), max_size=len(DIVERSITY_PAIRS)
+    ),
+    k=st.one_of(st.none(), st.integers(0, 13)),
+)
+def test_diversity_measures_each_pair_once_and_sums_like_the_oracle(items, table, k):
+    distances = dict(zip(DIVERSITY_PAIRS, table))
+    calls = []
+
+    def dist(a, b):
+        calls.append((a, b))
+        return distances[min(a, b), max(a, b)]
+
+    result = diversity_at_k(items, dist, k)
+    m = len(items[:k])
+    assert len(calls) == m * (m - 1) // 2
+    assert result == oracles.diversity(items[:k], dist)
+
+
+def test_item_distance_memo_equals_path_distance(small_corpus):
+    engine = _Engine(small_corpus, make_split(small_corpus, seed=3), DEFAULT_K, 10)
+    products = sorted(small_corpus.products.values(), key=lambda p: p.id)
+    paths = Counter(p.category_path for p in products)
+    # uncategorized products and distinct products sharing a path both occur
+    assert paths[()] >= 2 and any(count >= 2 for path, count in paths.items() if path)
+    for _ in range(2):  # the second round reads every distance from the memo
+        for a in products:
+            for b in products:
+                expected = oracles.path_distance(
+                    a.category_path, b.category_path, same_item=a.id == b.id
+                )
+                assert engine.item_distance(a.id, b.id) == expected
+    # at most one memo entry per unordered pair of category paths
+    assert len(engine._distances) <= len(paths) * (len(paths) + 1) // 2
 
 
 # --- experiment runner --------------------------------------------------------
@@ -344,6 +395,29 @@ def test_ndcg_only_weight_quality_equals_full_evaluation(planted_corpus):
 
             expected = _evaluate(inner, component, produce, task, "harsh")[0].ndcg
             assert _harsh_ndcg(inner, component, task) == expected
+
+
+def test_weighting_engine_shares_graph_slices_only(medium_corpus):
+    split = make_split(medium_corpus, seed=4)
+    outer = _Engine(medium_corpus, split, DEFAULT_K, 10)
+    inner_split = make_weighting_split(split, split.seed + 1)
+    inner = _Engine(medium_corpus, inner_split, DEFAULT_K, 10, outer=outer)
+    fresh = SimilarityContext(with_purchases(medium_corpus, inner_split.training))
+    graph_ids = [f for f in ALL_FEATURE_IDS if parse_feature_id(f).graph]
+    users = sorted(medium_corpus.users)
+    for feature in (*graph_ids, "mp.purchases.jaccard"):
+        for user in users:
+            outer.slice_for(feature, user)  # the outer engine holds its slices first
+    for feature in graph_ids:
+        for user in users:
+            assert inner.slice_for(feature, user) == fresh.k_nearest(feature, user, DEFAULT_K)
+            assert inner.slice_for(feature, user) is outer.slice_for(feature, user)
+    differs = 0
+    for user in users:
+        expected = fresh.k_nearest("mp.purchases.jaccard", user, DEFAULT_K)
+        assert inner.slice_for("mp.purchases.jaccard", user) == expected
+        differs += expected != outer.slice_for("mp.purchases.jaccard", user)
+    assert differs > 0  # the inner hold-out changes purchase neighbourhoods
 
 
 def test_harsh_vs_skip_averaging():

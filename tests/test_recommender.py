@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from marketrec.recommender import (
     HybridWeights,
@@ -139,10 +139,15 @@ def test_cf_products_matches_exhaustive_oracle(small_corpus):
             slice_.scored, owned_oracle, owned_oracle.get(target, set())
         )
         result = cf_products(slice_, purchase_sets, 10)
-        assert list(result.items) == [
-            (item, pytest.approx(score, abs=1e-9))
-            for item, score in oracles.ranked(expected, 10)
-        ]
+        assert list(result.items) == oracles.ranked(expected, 10)
+    # Near tie: in slice order 0.3 + 0.2 + 0.1 is exactly 0.6, so "pb" ties "pa" and
+    # follows it by id; any other addition order gives 0.6000000000000001 and flips them.
+    slice_ = SimilarityMatrixSlice("t", (("v1", 0.6), ("v2", 0.3), ("v3", 0.2), ("v4", 0.1)))
+    owned = {"v1": {"pa"}, "v2": {"pb"}, "v3": {"pb"}, "v4": {"pb"}, "t": set()}
+    expected = oracles.ranked(oracles.cf_product_scores(slice_.scored, owned, set()), 10)
+    assert expected == [("pa", 0.6), ("pb", 0.6)]
+    frozen = {user: frozenset(items) for user, items in owned.items()}
+    assert list(cf_products(slice_, frozen, 10).items) == expected
 
 
 def test_cf_categories_frequency_shares():
@@ -184,6 +189,45 @@ def test_cf_categories_uses_untruncated_candidates_and_levels():
     assert top.items == (("A", pytest.approx(3 / 4)),)
     low = cf_categories(slice_, corpus, owned, "low", 10)
     assert dict(low.items) == pytest.approx({"x1": 1 / 4, "x2": 2 / 4, "x3": 1 / 4})
+
+
+CF_PRODUCTS = sorted(POPULAR_PATHS)
+
+
+@given(
+    owned=st.fixed_dictionaries(
+        {user: st.frozensets(st.sampled_from(CF_PRODUCTS)) for user in "tabcd"}
+    ),
+    neighbours=st.lists(
+        st.tuples(st.sampled_from("abcde"), st.floats(0.01, 1.0)), unique_by=lambda e: e[0]
+    ),
+    level=st.sampled_from(["top", "low"]),
+    n=st.integers(1, 9),
+)
+@example(  # a target that owns every candidate
+    owned={"t": frozenset(CF_PRODUCTS), "a": frozenset({"p0", "p5"}), "b": frozenset(),
+           "c": frozenset(), "d": frozenset()},
+    neighbours=[("a", 0.5)], level="top", n=3,
+)
+@example(  # neighbours without purchases ("e" has no purchase set at all), n below the pool
+    owned={"t": frozenset(), "a": frozenset(), "b": frozenset(CF_PRODUCTS),
+           "c": frozenset(), "d": frozenset()},
+    neighbours=[("a", 0.9), ("e", 0.4), ("b", 0.2)], level="low", n=1,
+)
+def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, level, n):
+    corpus = make_corpus(products=[(pid, "s", path) for pid, path in POPULAR_PATHS.items()])
+    slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
+    pool = oracles.cf_product_scores(slice_.scored, owned, owned["t"])
+    position = 0 if level == "top" else -1
+    counts = {}
+    for item in pool:
+        path = POPULAR_PATHS[item]
+        if path:
+            counts[path[position]] = counts.get(path[position], 0) + 1
+    total = sum(counts.values())
+    shares = {category: count / total for category, count in counts.items()}
+    result = cf_categories(slice_, corpus, owned, level, n)
+    assert list(result.items) == oracles.ranked(shares, n)
 
 
 def test_cf_category_scores_sum_to_one(small_corpus):
