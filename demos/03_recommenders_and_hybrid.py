@@ -40,10 +40,10 @@ print("user-based CF products (score = summed neighbour similarity):")
 for item, score in cf.items:
     print(f"  {item}  {score:.3f}")
 
-for level in ("top", "low"):
-    cats = cf_categories(slice_, corpus, purchase_sets, level, 3)
+for kind in ("top_category", "low_category"):
+    cats = cf_categories(slice_, corpus, purchase_sets, kind, 3)
     pretty = ", ".join(f"{c}={s:.2f}" for c, s in cats.items)
-    print(f"{level}-level categories from the CF candidate pool: {pretty}")
+    print(f"{kind} list from the CF candidate pool: {pretty}")
 
 # hybrid: normalize each component list, then weight and sum per item
 components = {

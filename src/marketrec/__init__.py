@@ -20,7 +20,6 @@ from .corpus import (
     SocialInteraction,
     entity_sets,
     load_corpus,
-    load_corpus_paths,
     low_level_category,
     top_level_category,
     with_purchases,

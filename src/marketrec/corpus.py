@@ -148,31 +148,19 @@ def low_level_category(product: Product) -> Optional[str]:
 
 
 def load_corpus(data_dir: str | Path) -> Corpus:
-    """Load a corpus from a directory using the standard file names."""
-    base = Path(data_dir)
-    return load_corpus_paths(**{key: base / name for key, name in CORPUS_FILES.items()})
-
-
-def load_corpus_paths(
-    products: str | Path,
-    purchases: str | Path,
-    social: str | Path,
-    groups: str | Path,
-    interests: str | Path,
-    locations: str | Path,
-) -> Corpus:
-    """Load and validate a corpus from explicit per-source file paths.
+    """Load and validate a corpus from a directory holding the CORPUS_FILES.
 
     Raises MalformedRowError, DanglingReferenceError, or DuplicateProductError
     on the first violation found. Loading is deterministic: identical files
     yield an identical corpus.
     """
-    product_table = _load_products(products)
-    purchase_rows = _load_purchases(purchases, product_table)
-    social_rows = _load_social(social)
-    membership_rows = _load_pairs(groups, "groups", Membership)
-    interest_rows = _load_pairs(interests, "interests", InterestTag)
-    location_rows = _load_locations(locations)
+    path = {key: Path(data_dir) / name for key, name in CORPUS_FILES.items()}
+    product_table = _load_products(path["products"])
+    purchase_rows = _load_purchases(path["purchases"], product_table)
+    social_rows = _load_social(path["social"])
+    membership_rows = _load_pairs(path["groups"], "groups", Membership)
+    interest_rows = _load_pairs(path["interests"], "interests", InterestTag)
+    location_rows = _load_locations(path["locations"])
 
     users = set()
     users.update(p.buyer for p in purchase_rows)

@@ -54,50 +54,49 @@ class Split:
     seed: int
 
 
-def make_split(corpus: Corpus, seed: int, holdout: int = HOLDOUT_SIZE) -> Split:
-    """Withhold ``holdout`` distinct products per user with enough purchases.
+def make_split(corpus: Corpus, seed: int) -> Split:
+    """Withhold ``HOLDOUT_SIZE`` distinct products per user with enough purchases.
 
-    A user is eligible iff they purchased at least holdout + 1 distinct
+    A user is eligible iff they purchased at least HOLDOUT_SIZE + 1 distinct
     products, so every eligible user keeps at least one training purchase.
     Ineligible users keep all purchases in training. Deterministic per seed.
     """
+    return _withhold(
+        corpus.purchases, seed, lambda user, t: HOLDOUT_SIZE if t > HOLDOUT_SIZE else 0
+    )
+
+
+def make_weighting_split(split: Split, seed: int) -> Split:
+    """Inner holdout carved from a split's training rows, for hybrid weighting.
+
+    Each eligible user with at least two distinct training products withholds
+    up to ``HOLDOUT_SIZE`` further products, always keeping one in training.
+    The outer test set is never touched.
+    """
+    return _withhold(
+        split.training, seed,
+        lambda user, t: min(HOLDOUT_SIZE, t - 1) if user in split.eligible else 0,
+    )
+
+
+def _withhold(purchases, seed: int, count: Callable[[str, int], int]) -> Split:
+    """Withhold ``count(user, t)`` of each user's t distinct products from ``purchases``.
+
+    One generator per call visits users in id order and draws only when the
+    count is positive, from the distinct products in id order, so the
+    withheld sets depend on the seed and the purchase sets, not on row order.
+    """
     by_user: dict[str, set[str]] = defaultdict(set)
-    for purchase in corpus.purchases:
+    for purchase in purchases:
         by_user[purchase.buyer].add(purchase.product)
     rng = random.Random(seed)
     test: dict[str, frozenset[str]] = {}
     for user in sorted(by_user):
-        distinct = sorted(by_user[user])
-        if len(distinct) >= holdout + 1:
-            test[user] = frozenset(rng.sample(distinct, holdout))
+        size = count(user, len(by_user[user]))
+        if size > 0:
+            test[user] = frozenset(rng.sample(sorted(by_user[user]), size))
     empty: frozenset[str] = frozenset()
-    training = tuple(
-        p for p in corpus.purchases if p.product not in test.get(p.buyer, empty)
-    )
-    return Split(training=training, test=test, eligible=frozenset(test), seed=seed)
-
-
-def make_weighting_split(split: Split, seed: int, holdout: int = HOLDOUT_SIZE) -> Split:
-    """Inner holdout carved from a split's training rows, for hybrid weighting.
-
-    For each eligible user with at least two distinct training products,
-    up to ``holdout`` further products are withheld while always keeping one
-    in training. The outer test set is never touched.
-    """
-    by_user: dict[str, set[str]] = defaultdict(set)
-    for purchase in split.training:
-        if purchase.buyer in split.eligible:
-            by_user[purchase.buyer].add(purchase.product)
-    rng = random.Random(seed)
-    test: dict[str, frozenset[str]] = {}
-    for user in sorted(by_user):
-        distinct = sorted(by_user[user])
-        if len(distinct) >= 2:
-            test[user] = frozenset(rng.sample(distinct, min(holdout, len(distinct) - 1)))
-    empty: frozenset[str] = frozenset()
-    training = tuple(
-        p for p in split.training if p.product not in test.get(p.buyer, empty)
-    )
+    training = tuple(p for p in purchases if p.product not in test.get(p.buyer, empty))
     return Split(training=training, test=test, eligible=frozenset(test), seed=seed)
 
 
@@ -241,10 +240,8 @@ class _Engine:
         self.knn_k = knn_k
         self.n = list_length
         self._slices: dict = {}
-        self._product_lists: dict = {}
-        self._task_lists: dict = {}
-        self._popular_task: dict = {}
-        self._popular_ranking: Optional[tuple] = None
+        self._lists: dict = {}
+        self._popular: dict = {}  # list kind -> full popularity ranking
         self._relevant: dict = {}
         classes: dict[frozenset[str], int] = {}
         self._category_class = {
@@ -263,37 +260,27 @@ class _Engine:
         return per_user[user]
 
     def product_list(self, rec_id, user) -> RecommendationList:
-        per_user = self._product_lists.setdefault(rec_id, {})
+        return self.task_list(rec_id, "products", user)
+
+    def task_list(self, rec_id, task, user) -> RecommendationList:
+        kind = TASK_LISTS[task][0]
+        per_user = self._lists.setdefault((rec_id, kind), {})
         if user not in per_user:
             if rec_id == MOST_POPULAR_ID:
-                if self._popular_ranking is None:
-                    self._popular_ranking = most_popular(self.training, "product", None).items
-                owned = self.purchase_sets.get(user, frozenset())
+                if kind not in self._popular:
+                    self._popular[kind] = most_popular(self.training, kind, None).items
                 per_user[user] = most_popular(
-                    self.training, "product", self.n, owned=owned, target=user,
-                    ranking=self._popular_ranking,
+                    self.training, kind, self.n, owned=self.purchase_sets.get(user, frozenset()),
+                    target=user, ranking=self._popular[kind],
                 )
-            else:
+            elif kind == "product":
                 per_user[user] = cf_products(
                     self.slice_for(rec_id, user), self.purchase_sets, self.n
                 )
-        return per_user[user]
-
-    def task_list(self, rec_id, task, user) -> RecommendationList:
-        kind, extract = TASK_LISTS[task]
-        if extract is None:
-            return self.product_list(rec_id, user)
-        if rec_id == MOST_POPULAR_ID:
-            # identical for every user: no per-user exclusion on categories
-            if task not in self._popular_task:
-                self._popular_task[task] = most_popular(self.training, kind, self.n)
-            return self._popular_task[task]
-        per_user = self._task_lists.setdefault((rec_id, task), {})
-        if user not in per_user:
-            level = task.removesuffix("_categories")
-            per_user[user] = cf_categories(
-                self.slice_for(rec_id, user), self.corpus, self.purchase_sets, level, self.n
-            )
+            else:
+                per_user[user] = cf_categories(
+                    self.slice_for(rec_id, user), self.corpus, self.purchase_sets, kind, self.n
+                )
         return per_user[user]
 
     def relevant(self, task, user) -> frozenset[str]:
@@ -398,7 +385,6 @@ def run_experiment(
     knn_k: int = DEFAULT_K,
     list_length: int = DEFAULT_N,
     averaging: str = "harsh",
-    weighting_seed: Optional[int] = None,
 ) -> EvalReport:
     """Evaluate recommenders on one task and return the full report.
 
@@ -407,14 +393,14 @@ def run_experiment(
     untouched), then scored against the withheld test sets of the eligible
     users. Unserved users count as zero under "harsh" averaging and are
     excluded from accuracy means under "skip"; coverage and diversity always
-    average over all eligible users.
+    average over all eligible users. Derived hybrid weights come from the
+    inner weighting split seeded with the split's seed + 1.
     """
     check_experiment(
         recommenders, task, knn_k=knn_k, list_length=list_length, averaging=averaging
     )
     engine = _Engine(corpus, split, knn_k, list_length)
-    if weighting_seed is None:
-        weighting_seed = split.seed + 1
+    weighting_seed = split.seed + 1
 
     inner_engine: Optional[_Engine] = None
     quality_cache: dict[str, float] = {}
@@ -470,22 +456,22 @@ def _simple_producer(engine, rec_id, task):
 
 
 def _hybrid_producer(engine, hybrid: HybridDef, weights: HybridWeights, task):
-    kind, extract = TASK_LISTS[task]
+    kind = TASK_LISTS[task][0]
 
     def produce(user):
         product_lists = {
             c: normalize_scores(engine.product_list(c, user)) for c in hybrid.components
         }
         product = weighted_sum_hybrid(
-            product_lists, weights, engine.n, target=user, kind="product"
+            product_lists, weights.weights, engine.n, target=user, kind="product"
         )
-        if extract is None:
+        if kind == "product":
             return product, product
         task_lists = {
             c: normalize_scores(engine.task_list(c, task, user)) for c in hybrid.components
         }
         combined = weighted_sum_hybrid(
-            task_lists, weights, engine.n, target=user, kind=kind
+            task_lists, weights.weights, engine.n, target=user, kind=kind
         )
         return product, combined
 
@@ -502,8 +488,9 @@ def check_experiment(
 ) -> None:
     """Raise ValueError for any experiment setting run_experiment cannot honour.
 
-    Unknown feature ids raise UnknownFeatureError, a ValueError. Explicit
-    hybrid weights must name each component once and pass HybridWeights.
+    Unknown feature ids raise UnknownFeatureError, a ValueError. A hybrid
+    lists each component once; explicit weights name each component and
+    pass HybridWeights.
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {', '.join(TASKS)}, got {task!r}")
@@ -517,10 +504,9 @@ def check_experiment(
         raise ValueError(f"list_length must be >= 1, got {list_length}")
     if not recommenders:
         raise ValueError("at least one recommender is required")
-    names = [_display_id(rec) for rec in recommenders]
-    duplicates = sorted({name for name in names if names.count(name) > 1})
+    duplicates = _duplicates([_display_id(rec) for rec in recommenders])
     if duplicates:
-        raise ValueError(f"duplicate recommender ids: {', '.join(duplicates)}")
+        raise ValueError(f"duplicate recommender ids: {duplicates}")
     for rec in recommenders:
         for component in _component_ids(rec):
             if component != MOST_POPULAR_ID:
@@ -528,10 +514,18 @@ def check_experiment(
         if isinstance(rec, HybridDef):
             if not rec.components:
                 raise ValueError(f"hybrid {rec.name!r} lists no components")
+            duplicates = _duplicates(rec.components)
+            if duplicates:
+                raise ValueError(f"hybrid {rec.name!r} lists components twice: {duplicates}")
             if rec.weights is not None:
                 if set(rec.weights) != set(rec.components):
                     raise ValueError(f"hybrid {rec.name!r} needs one weight per component")
                 HybridWeights(rec.weights)
+
+
+def _duplicates(ids: Sequence[str]) -> str:
+    """The ids listed more than once, sorted and comma-separated; empty if none."""
+    return ", ".join(sorted({i for i in ids if ids.count(i) > 1}))
 
 
 def _component_ids(rec: RecommenderDef) -> tuple[str, ...]:

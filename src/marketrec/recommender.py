@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping, Optional, Sequence
@@ -41,13 +42,13 @@ class RecommendationList:
 
 @dataclass(frozen=True)
 class HybridWeights:
-    """Per-component weights for the weighted-sum hybrid."""
+    """Per-component weights for the weighted-sum hybrid: finite, non-negative, one positive."""
 
     weights: Mapping[str, float]
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("hybrid weights must be non-negative")
+        if not all(0 <= w < math.inf for w in self.weights.values()):
+            raise ValueError("hybrid weights must be finite and non-negative")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("no informative component: no weight is positive")
 
@@ -133,20 +134,20 @@ def cf_categories(
     slice_: SimilarityMatrixSlice,
     corpus: Corpus,
     purchase_sets: Mapping[str, frozenset[str]],
-    level: str,
+    kind: str,
     n: int = DEFAULT_N,
 ) -> RecommendationList:
-    """Category predictions derived from the full CF product candidate pool.
+    """Category predictions of one list kind from the full CF product candidate pool.
 
     The pool is every product a neighbour owns and the target does not, the
     keys of ``cf_candidate_scores``; shares need no similarity sums. Each
-    candidate product contributes its top- or low-level category once; a
-    category's score is its share of all extracted category occurrences.
-    Products without categories are skipped.
+    candidate product contributes its category of ``kind`` ("top_category"
+    or "low_category") once; a category's score is its share of all
+    extracted category occurrences. Products without categories are skipped.
     """
-    kind, extract = TASK_LISTS.get(f"{level}_categories", (None, None))
+    extract = _EXTRACTOR_BY_KIND.get(kind)
     if extract is None:
-        raise ValueError(f"level must be 'top' or 'low', got {level!r}")
+        raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
     owned = purchase_sets.get(slice_.target, frozenset())
     pool = frozenset().union(*(purchase_sets.get(v, ()) for v, _ in slice_.scored)) - owned
     counts: dict[str, int] = {}
@@ -180,19 +181,17 @@ def normalize_scores(rec: RecommendationList) -> RecommendationList:
 
 def weighted_sum_hybrid(
     lists: Mapping[str, RecommendationList],
-    weights: HybridWeights | Mapping[str, float],
+    weights: Mapping[str, float],
     n: int = DEFAULT_N,
     target: str = "",
     kind: str = "",
 ) -> RecommendationList:
-    """Combine normalized component lists into one ranking.
+    """Combine normalized component lists into one ranking for ``target`` and ``kind``.
 
     An item's combined score sums, over the components, its score in that
     component (0 if absent) times the component weight. Component lists must
     already be normalized and belong to the same target and kind.
     """
-    if isinstance(weights, HybridWeights):
-        weights = weights.weights
     combined: dict[str, float] = {}
     for component in sorted(lists):
         weight = weights.get(component, 0.0)
@@ -200,7 +199,4 @@ def weighted_sum_hybrid(
             continue
         for item, score in lists[component].items:
             combined[item] = combined.get(item, 0.0) + weight * score
-    for rec in lists.values():
-        target = target or rec.target
-        kind = kind or rec.kind
     return RecommendationList(target=target, kind=kind, items=_ranked(combined, n))

@@ -74,10 +74,6 @@ class FeatureSpec:
     entity_kind: Optional[str] = None  # content features only
     graph: Optional[str] = None  # network features only: social | colocation
 
-    @property
-    def feature_id(self) -> str:
-        return _ID_BY_SPEC[self]
-
 
 def _enumerate_features():
     table = {}
@@ -95,7 +91,6 @@ def _enumerate_features():
 
 
 _SPEC_BY_ID = _enumerate_features()
-_ID_BY_SPEC = {spec: fid for fid, spec in _SPEC_BY_ID.items()}
 ALL_FEATURE_IDS = tuple(_SPEC_BY_ID)
 
 
@@ -129,8 +124,8 @@ class SimilarityContext:
     """Lazily built indexes over one corpus for fast feature evaluation.
 
     Everything is derived from an immutable corpus, so a context is safe for
-    concurrent reads once built. Graphs can be supplied up front when they
-    are shared across contexts (they do not depend on purchase rows).
+    concurrent reads once built. Graphs are built on first use; supplying
+    them up front is a seam for tests that hand-build a graph.
     """
 
     def __init__(
@@ -193,15 +188,13 @@ class SimilarityContext:
             self._directed = Counter((s.actor, s.target) for s in self.corpus.social)
         return self._directed.get((actor, target), 0)
 
-    def k_nearest(
-        self, feature: FeatureSpec | str, target: str, k: int = DEFAULT_K
-    ) -> SimilarityMatrixSlice:
-        """Top-k candidates by positive similarity to ``target``.
+    def k_nearest(self, feature: str, target: str, k: int = DEFAULT_K) -> SimilarityMatrixSlice:
+        """Top-k candidates by positive similarity to ``target`` under one feature id.
 
         Raises UnknownUserError for users outside the corpus universe; users
         that exist but have no data for the feature get an empty slice.
         """
-        spec = parse_feature_id(feature) if isinstance(feature, str) else feature
+        spec = parse_feature_id(feature)
         if target not in self.corpus.users:
             raise UnknownUserError(target)
         if k < 1:

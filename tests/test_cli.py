@@ -142,12 +142,29 @@ def test_config_parsing_details(tmp_path, dataset):
         ("\n[hybrid:h]\ncomponents = sn.graph.cn\nweights = 0\n", "positive"),
         ("\n[hybrid:h]\nweights = 1.0\n", "components"),
         ("\n[hybrid:most_popular]\ncomponents = most_popular\n", "duplicate"),
+        ("\n[hybrid:h]\ncomponents = sn.graph.cn\nweights = inf\n", "finite"),
+        (
+            "\n[hybrid:h]\ncomponents = sn.graph.no, sn.graph.no, most_popular\n"
+            "weights = 0.2, 0.8, 0.5\n",
+            "components twice: sn.graph.no",
+        ),
+        ("\n[hybrid:h]\ncomponents = sn.graph.no, sn.graph.no\n", "components twice"),
     ],
 )
 def test_bad_hybrid_sections(tmp_path, dataset, body, message):
     config = _config_file(tmp_path, dataset, body)
     with pytest.raises(ConfigError, match=message):
         load_config(config)
+
+
+def test_run_rejects_nan_hybrid_weight(tmp_path, dataset, capsys):
+    body = "\n[hybrid:h]\ncomponents = sn.graph.cn, most_popular\nweights = nan, 1.0\n"
+    config = _config_file(tmp_path, dataset, body)
+    assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err
+    assert "hybrid weights must be finite and non-negative" in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_config_value_validation(tmp_path, dataset):

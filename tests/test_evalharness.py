@@ -120,6 +120,55 @@ def test_weighting_split_nested_in_training():
     assert len(inner.test["b"]) == 2
 
 
+def _protocol_split(rows, seed, count):
+    """The withholding rule spelled out over (buyer, product) rows, by brute force.
+
+    One generator per split; users in id order; each user with a positive
+    count(user, t) of its t distinct products draws from them in id order.
+    """
+    rng = random.Random(seed)
+    test = {}
+    for user in sorted({buyer for buyer, _ in rows}):
+        distinct = sorted({product for buyer, product in rows if buyer == user})
+        size = count(user, len(distinct))
+        if size > 0:
+            test[user] = frozenset(rng.sample(distinct, size))
+    training = [row for row in rows if row[1] not in test.get(row[0], ())]
+    return test, training
+
+
+@given(
+    users=st.lists(
+        st.tuples(st.sampled_from((1, 2, 10, 11, 12)), st.lists(st.integers(0, 11), max_size=4)),
+        min_size=1,
+        max_size=6,
+    ),
+    order=st.randoms(use_true_random=False),
+    seed=st.integers(0, 2**32),
+)
+def test_splits_equal_the_protocol_spelled_out(users, order, seed):
+    rows = []
+    for u, (distinct, repeats) in enumerate(users):
+        rows += [(f"u{u}", f"p{i}") for i in range(distinct)]
+        rows += [(f"u{u}", f"p{i % distinct}") for i in repeats]
+    order.shuffle(rows)
+    corpus = make_corpus(products=[(f"p{i}", "s", ()) for i in range(12)], purchases=rows)
+
+    split = make_split(corpus, seed)
+    test, training = _protocol_split(rows, seed, lambda user, t: 10 if t >= 11 else 0)
+    assert split.test == test
+    assert [(p.buyer, p.product) for p in split.training] == training
+    assert split.eligible == frozenset(test)
+
+    inner = make_weighting_split(split, seed + 1)
+    inner_test, inner_training = _protocol_split(
+        training, seed + 1, lambda user, t: min(10, t - 1) if user in test else 0
+    )
+    assert inner.test == inner_test
+    assert [(p.buyer, p.product) for p in inner.training] == inner_training
+    assert inner.eligible == frozenset(inner_test)
+
+
 # --- metrics ----------------------------------------------------------------
 
 
@@ -487,6 +536,14 @@ def test_explicit_weights_must_cover_every_component(medium_corpus):
         run_experiment(medium_corpus, split, [hybrid], "products")
 
 
+@pytest.mark.parametrize("weights", [None, {"sn.graph.no": 0.8, "most_popular": 0.5}])
+def test_hybrid_listing_a_component_twice_rejected(medium_corpus, weights):
+    split = make_split(medium_corpus, seed=4)
+    hybrid = HybridDef("twice", ("sn.graph.no", "sn.graph.no", "most_popular"), weights=weights)
+    with pytest.raises(ValueError, match="'twice' lists components twice: sn.graph.no"):
+        run_experiment(medium_corpus, split, [hybrid], "products")
+
+
 def test_list_length_below_one_is_named(medium_corpus):
     split = make_split(medium_corpus, seed=4)
     with pytest.raises(ValueError, match="list_length must be >= 1, got 0"):
@@ -524,8 +581,8 @@ def test_explicit_hybrid_weights_skip_inner_split(medium_corpus):
 def test_derived_hybrid_weights_recorded(medium_corpus):
     split = make_split(medium_corpus, seed=4)
     hybrid = HybridDef("auto", ("sn.graph.cn", "loc.graph.cn"))
-    report = run_experiment(medium_corpus, split, [hybrid], "products", weighting_seed=99)
-    assert report.metadata["weighting_seed"] == "99"
+    report = run_experiment(medium_corpus, split, [hybrid], "products")
+    assert report.metadata["weighting_seed"] == "5"  # the split seed + 1
     for component in hybrid.components:
         assert f"weight.auto.{component}" in report.metadata
 

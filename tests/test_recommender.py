@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -157,9 +158,11 @@ def test_cf_categories_frequency_shares():
     )
     slice_ = SimilarityMatrixSlice("t", (("v", 1.0),))
     owned = {"v": frozenset({"p1", "p2", "p3"}), "t": frozenset()}
-    result = cf_categories(slice_, corpus, owned, "top", 10)
+    result = cf_categories(slice_, corpus, owned, "top_category", 10)
     assert result.items == (("A", pytest.approx(2 / 3)), ("B", pytest.approx(1 / 3)))
     assert result.kind == "top_category"
+    with pytest.raises(ValueError, match="kind must be 'top_category' or 'low_category'"):
+        cf_categories(slice_, corpus, owned, "product", 10)
 
 
 def test_cf_categories_all_uncategorized_gives_empty():
@@ -169,7 +172,7 @@ def test_cf_categories_all_uncategorized_gives_empty():
     )
     slice_ = SimilarityMatrixSlice("t", (("v", 1.0),))
     owned = {"v": frozenset({"p1", "p2"}), "t": frozenset()}
-    assert cf_categories(slice_, corpus, owned, "low", 10).items == ()
+    assert cf_categories(slice_, corpus, owned, "low_category", 10).items == ()
 
 
 def test_cf_categories_uses_untruncated_candidates_and_levels():
@@ -185,9 +188,9 @@ def test_cf_categories_uses_untruncated_candidates_and_levels():
     )
     slice_ = SimilarityMatrixSlice("t", (("v", 0.9), ("w", 0.1)))
     owned = {"v": frozenset({"p1", "p2"}), "w": frozenset({"p3", "p4"}), "t": frozenset()}
-    top = cf_categories(slice_, corpus, owned, "top", 1)
+    top = cf_categories(slice_, corpus, owned, "top_category", 1)
     assert top.items == (("A", pytest.approx(3 / 4)),)
-    low = cf_categories(slice_, corpus, owned, "low", 10)
+    low = cf_categories(slice_, corpus, owned, "low_category", 10)
     assert dict(low.items) == pytest.approx({"x1": 1 / 4, "x2": 2 / 4, "x3": 1 / 4})
 
 
@@ -201,24 +204,24 @@ CF_PRODUCTS = sorted(POPULAR_PATHS)
     neighbours=st.lists(
         st.tuples(st.sampled_from("abcde"), st.floats(0.01, 1.0)), unique_by=lambda e: e[0]
     ),
-    level=st.sampled_from(["top", "low"]),
+    kind=st.sampled_from(["top_category", "low_category"]),
     n=st.integers(1, 9),
 )
 @example(  # a target that owns every candidate
     owned={"t": frozenset(CF_PRODUCTS), "a": frozenset({"p0", "p5"}), "b": frozenset(),
            "c": frozenset(), "d": frozenset()},
-    neighbours=[("a", 0.5)], level="top", n=3,
+    neighbours=[("a", 0.5)], kind="top_category", n=3,
 )
 @example(  # neighbours without purchases ("e" has no purchase set at all), n below the pool
     owned={"t": frozenset(), "a": frozenset(), "b": frozenset(CF_PRODUCTS),
            "c": frozenset(), "d": frozenset()},
-    neighbours=[("a", 0.9), ("e", 0.4), ("b", 0.2)], level="low", n=1,
+    neighbours=[("a", 0.9), ("e", 0.4), ("b", 0.2)], kind="low_category", n=1,
 )
-def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, level, n):
+def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, kind, n):
     corpus = make_corpus(products=[(pid, "s", path) for pid, path in POPULAR_PATHS.items()])
     slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
     pool = oracles.cf_product_scores(slice_.scored, owned, owned["t"])
-    position = 0 if level == "top" else -1
+    position = 0 if kind == "top_category" else -1
     counts = {}
     for item in pool:
         path = POPULAR_PATHS[item]
@@ -226,7 +229,7 @@ def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, leve
             counts[path[position]] = counts.get(path[position], 0) + 1
     total = sum(counts.values())
     shares = {category: count / total for category, count in counts.items()}
-    result = cf_categories(slice_, corpus, owned, level, n)
+    result = cf_categories(slice_, corpus, owned, kind, n)
     assert list(result.items) == oracles.ranked(shares, n)
 
 
@@ -235,7 +238,7 @@ def test_cf_category_scores_sum_to_one(small_corpus):
     purchase_sets = context.entity_sets("purchases")
     for target in sorted(small_corpus.users)[::7]:
         slice_ = context.k_nearest("mp.purchases.jaccard", target, 8)
-        full = cf_categories(slice_, small_corpus, purchase_sets, "low", 10**9)
+        full = cf_categories(slice_, small_corpus, purchase_sets, "low_category", 10**9)
         if full.items:
             assert sum(score for _, score in full.items) == pytest.approx(1.0, abs=1e-9)
 
@@ -305,7 +308,7 @@ def test_derive_hybrid_weights_passthrough():
 def test_derive_hybrid_weights_zero_component_excluded():
     weights = HybridWeights({"good": 0.2, "useless": 0.0})
     combined = weighted_sum_hybrid(
-        {"good": rec([("x", 1.0)]), "useless": rec([("y", 1.0)])}, weights, 10
+        {"good": rec([("x", 1.0)]), "useless": rec([("y", 1.0)])}, weights.weights, 10
     )
     assert combined.item_ids() == ("x",)
 
@@ -315,6 +318,12 @@ def test_derive_hybrid_weights_all_zero_is_an_error():
         HybridWeights({"a": 0.0, "b": 0.0})
     with pytest.raises(ValueError):
         HybridWeights({"a": -0.1, "b": 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hybrid_weights_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        HybridWeights({"a": bad, "b": 1.0})
 
 
 # --- ranking laws -----------------------------------------------------------

@@ -150,9 +150,9 @@ def test_preferential_attachment():
 
 def test_feature_id_roundtrip():
     assert len(ALL_FEATURE_IDS) == 35
+    assert len({parse_feature_id(feature_id) for feature_id in ALL_FEATURE_IDS}) == 35
     for feature_id in ALL_FEATURE_IDS:
         spec = parse_feature_id(feature_id)
-        assert spec.feature_id == feature_id
         if spec.family == "content":
             assert spec.entity_kind is not None and spec.graph is None
         else:
