@@ -8,7 +8,7 @@ from itertools import islice
 from typing import Mapping, Optional, Sequence
 
 from .corpus import Corpus, low_level_category, top_level_category
-from .simfeatures import SimilarityMatrixSlice
+from .simfeatures import SimilarityMatrixSlice, top_n
 
 # task -> (list kind, category extractor); product lists extract no category
 TASK_LISTS = {
@@ -53,11 +53,6 @@ class HybridWeights:
             raise ValueError("no informative component: no weight is positive")
 
 
-def _ranked(scores: Mapping[str, float], n: Optional[int]) -> tuple[tuple[str, float], ...]:
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(ordered[:n] if n is not None else ordered)
-
-
 def popularity_counts(corpus: Corpus, kind: str) -> dict[str, int]:
     """Purchase-frequency counts per item for one list kind.
 
@@ -93,7 +88,7 @@ def most_popular(
     """
     if ranking is None:
         counts = popularity_counts(corpus, kind)
-        ranking = _ranked({item: float(c) for item, c in counts.items()}, None)
+        ranking = top_n({item: float(c) for item, c in counts.items()}, None)
     if kind == "product":
         ranking = (entry for entry in ranking if entry[0] not in owned)
     return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))
@@ -107,12 +102,13 @@ def cf_candidate_scores(
     The score of an item is the sum of the similarities of the neighbours
     that own it, added in slice order. Returns the full (untruncated) candidate pool.
     """
-    owned = purchase_sets.get(slice_.target, frozenset())
     scores: dict[str, float] = {}
+    get = scores.get
     for neighbor, sim in slice_.scored:
-        for item in purchase_sets.get(neighbor, frozenset()):
-            if item not in owned:
-                scores[item] = scores.get(item, 0.0) + sim
+        for item in purchase_sets.get(neighbor, ()):
+            scores[item] = get(item, 0.0) + sim
+    for item in purchase_sets.get(slice_.target, ()):
+        scores.pop(item, None)
     return scores
 
 
@@ -127,7 +123,7 @@ def cf_products(
     was possible for this target.
     """
     scores = cf_candidate_scores(slice_, purchase_sets)
-    return RecommendationList(target=slice_.target, kind="product", items=_ranked(scores, n))
+    return RecommendationList(target=slice_.target, kind="product", items=tuple(top_n(scores, n)))
 
 
 def cf_categories(
@@ -159,7 +155,7 @@ def cf_categories(
         counts[category] = counts.get(category, 0) + 1
         total += 1
     scores = {category: count / total for category, count in counts.items()}
-    return RecommendationList(target=slice_.target, kind=kind, items=_ranked(scores, n))
+    return RecommendationList(target=slice_.target, kind=kind, items=tuple(top_n(scores, n)))
 
 
 def normalize_scores(rec: RecommendationList) -> RecommendationList:
@@ -199,4 +195,4 @@ def weighted_sum_hybrid(
             continue
         for item, score in lists[component].items:
             combined[item] = combined.get(item, 0.0) + weight * score
-    return RecommendationList(target=target, kind=kind, items=_ranked(combined, n))
+    return RecommendationList(target=target, kind=kind, items=tuple(top_n(combined, n)))

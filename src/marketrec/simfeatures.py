@@ -17,12 +17,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Optional
+from typing import Mapping, Optional, TypeVar
 
 from .corpus import Corpus, entity_sets
 from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, set_bits
 
 DEFAULT_K = 40
+_Key = TypeVar("_Key", str, int)
 
 _CONTENT_SUFFIXES = {
     "common": "common_entities",
@@ -120,25 +121,26 @@ class SimilarityMatrixSlice:
         return tuple(user for user, _ in self.scored)
 
 
+def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, float]]:
+    """The ``n`` best (key, score) pairs by descending score, ties by ascending key; all if None.
+
+    Only entries at or above the n-th best score (a sort of bare floats) are sorted as tuples.
+    """
+    cut = sorted(scores.values(), reverse=True)[n - 1] if n and n <= len(scores) else -math.inf
+    entries = sorted([(-s, key) for key, s in scores.items() if s >= cut])
+    return [(key, -s) for s, key in entries[:n]]
+
+
 class SimilarityContext:
     """Lazily built indexes over one corpus for fast feature evaluation.
 
     Everything is derived from an immutable corpus, so a context is safe for
-    concurrent reads once built. Graphs are built on first use; supplying
-    them up front is a seam for tests that hand-build a graph.
+    concurrent reads once built. Graphs and indexes are built on first use.
     """
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        social_graph: InteractionGraph | None = None,
-        colocation_graph: InteractionGraph | None = None,
-    ):
+    def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._graphs: dict[str, InteractionGraph | None] = {
-            "social": social_graph,
-            "colocation": colocation_graph,
-        }
+        self._graphs: dict[str, InteractionGraph] = {}
         self._entity_sets: dict[str, dict[str, frozenset[str]]] = {}
         self._entity_index: dict[str, dict[str, set[str]]] = {}
         self._sizes: dict[str, dict[str, int]] = {}
@@ -146,7 +148,7 @@ class SimilarityContext:
         self._directed: dict[tuple[str, str], int] | None = None
 
     def graph(self, name: str) -> InteractionGraph:
-        if self._graphs.get(name) is None:
+        if name not in self._graphs:
             if name == "social":
                 self._graphs[name] = build_social_graph(self.corpus)
             elif name == "colocation":
@@ -169,8 +171,7 @@ class SimilarityContext:
     def by_size(self, kind: str) -> list[tuple[str, int]]:
         """Every user with their entity count for ``kind``, largest first, ties by id."""
         if kind not in self._by_size:
-            ranked = sorted((-m, user) for user, m in self._set_sizes(kind).items())
-            self._by_size[kind] = [(user, -m) for m, user in ranked]
+            self._by_size[kind] = top_n(self._set_sizes(kind), None)
         return self._by_size[kind]
 
     def entity_index(self, kind: str) -> dict[str, set[str]]:
@@ -199,9 +200,11 @@ class SimilarityContext:
             raise UnknownUserError(target)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        best = heapq.nsmallest(k, ((-s, v) for v, s in self._scores(spec, target, k).items()))
-        names = self.graph(spec.graph).users if spec.graph else None
-        return SimilarityMatrixSlice(target, tuple((names[v] if names else v, -s) for s, v in best))
+        best = top_n(self._scores(spec, target, k), k)
+        if spec.graph:
+            names = self.graph(spec.graph).users
+            best = [(names[v], s) for v, s in best]
+        return SimilarityMatrixSlice(target, tuple(best))
 
     def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str | int, float]:
         """Positive scores of every user that can make the top-k.

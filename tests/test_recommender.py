@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from marketrec.recommender import (
     HybridWeights,
     RecommendationList,
+    cf_candidate_scores,
     cf_categories,
     cf_products,
     most_popular,
@@ -231,6 +232,28 @@ def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, kind
     shares = {category: count / total for category, count in counts.items()}
     result = cf_categories(slice_, corpus, owned, kind, n)
     assert list(result.items) == oracles.ranked(shares, n)
+
+
+@given(
+    # the target ("t") or a neighbour may have no purchase set at all
+    owned=st.dictionaries(st.sampled_from("tabcde"), st.frozensets(st.sampled_from(CF_PRODUCTS))),
+    neighbours=st.lists(
+        st.tuples(st.sampled_from("abcde"), st.sampled_from([0.1, 0.2, 0.3, 0.6])),
+        unique_by=lambda e: e[0],
+    ),
+)
+@example(  # the target owns some of every neighbour's products; neighbours share a similarity
+    owned={"t": frozenset({"p0", "p3"}), "a": frozenset({"p0", "p1"}), "b": frozenset({"p1", "p3"})},
+    neighbours=[("a", 0.3), ("b", 0.3), ("c", 0.1)],
+)
+def test_cf_candidate_scores_matches_oracle(owned, neighbours):
+    slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
+    target_owned = owned.get("t", frozenset())
+    scores = cf_candidate_scores(slice_, owned)
+    expected = oracles.cf_product_scores(slice_.scored, owned, target_owned)
+    assert scores == expected
+    assert list(scores) == list(expected)  # the same insertion order too
+    assert scores.keys().isdisjoint(target_owned)
 
 
 def test_cf_category_scores_sum_to_one(small_corpus):

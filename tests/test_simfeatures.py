@@ -4,7 +4,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec.graphs import InteractionGraph, build_social_graph
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
@@ -13,6 +12,7 @@ from marketrec.simfeatures import (
     UnknownFeatureError,
     UnknownUserError,
     parse_feature_id,
+    top_n,
 )
 
 from helpers import make_corpus, oracle_knn, oracle_scorer
@@ -32,8 +32,7 @@ def groups_context(**groups):
 
 
 def graph_context(edges, extra=()):
-    corpus = make_corpus(social=[(u, v, "love") for u, v in edges], extra_users=extra)
-    return SimilarityContext(corpus, social_graph=build_social_graph(corpus))
+    return SimilarityContext(make_corpus(social=[(u, v, "love") for u, v in edges], extra_users=extra))
 
 
 # --- content features ---------------------------------------------------
@@ -115,9 +114,8 @@ def test_adamic_adar_values():
 
 def test_adamic_adar_skips_degree_one_shared_neighbour():
     # a neighbour of degree 1 would divide by log(1) = 0
-    corpus = make_corpus(extra_users=("u", "v", "z"))
-    graph = InteractionGraph(corpus.users, [("u", "z")])
-    context = SimilarityContext(corpus, social_graph=graph)
+    context = SimilarityContext(make_corpus(social=[("u", "z", "love")], extra_users=("v",)))
+    assert context.graph("social").degree("z") == 1
     assert similarity(context, "sn.graph.aa", "u", "v") == 0.0
 
 
@@ -446,3 +444,21 @@ def test_k_nearest_equals_exact_pairwise_ranking(planted_context, feature_id):
         expected = oracle_knn(users, target, len(users), scorer)
         for k in sorted({1, len(expected) // 2 + 1, DEFAULT_K, len(expected) + 1}):
             assert planted_context.k_nearest(feature_id, target, k).scored == expected[:k]
+
+
+# --- top-n selection -----------------------------------------------------
+
+# a few values, so most dicts tie at the cut; 0.0 occurs in hybrid lists
+_tied_scores = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@given(
+    st.one_of(
+        st.dictionaries(st.text("abc", max_size=3), _tied_scores, max_size=30),
+        st.dictionaries(st.integers(0, 40), _tied_scores, max_size=30),
+    ),
+    st.data(),
+)
+def test_top_n_equals_full_sort(scores, data):
+    n = data.draw(st.one_of(st.none(), st.integers(1, len(scores) + 1)), label="n")
+    assert top_n(scores, n) == sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
