@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -259,14 +259,19 @@ class _Engine:
             per_user[user] = self.context.k_nearest(feature_id, user, self.knn_k)
         return per_user[user]
 
-    def product_list(self, rec_id, user) -> RecommendationList:
-        return self.task_list(rec_id, "products", user)
+    def task_list(self, rec: RecommenderDef, task, user) -> RecommendationList:
+        """One user's list for ``task``; a hybrid's comes from its components' cached lists.
 
-    def task_list(self, rec_id, task, user) -> RecommendationList:
+        A hybrid must carry its weights. Its list is combined on every request
+        and never cached, so a hybrid cannot shadow a component of the same name.
+        """
         kind = TASK_LISTS[task][0]
-        per_user = self._lists.setdefault((rec_id, kind), {})
+        if isinstance(rec, HybridDef):
+            lists = {c: normalize_scores(self.task_list(c, task, user)) for c in rec.components}
+            return weighted_sum_hybrid(lists, rec.weights, self.n, target=user, kind=kind)
+        per_user = self._lists.setdefault((rec, kind), {})
         if user not in per_user:
-            if rec_id == MOST_POPULAR_ID:
+            if rec == MOST_POPULAR_ID:
                 if kind not in self._popular:
                     self._popular[kind] = most_popular(self.training, kind, None).items
                 per_user[user] = most_popular(
@@ -274,12 +279,10 @@ class _Engine:
                     target=user, ranking=self._popular[kind],
                 )
             elif kind == "product":
-                per_user[user] = cf_products(
-                    self.slice_for(rec_id, user), self.purchase_sets, self.n
-                )
+                per_user[user] = cf_products(self.slice_for(rec, user), self.purchase_sets, self.n)
             else:
                 per_user[user] = cf_categories(
-                    self.slice_for(rec_id, user), self.corpus, self.purchase_sets, kind, self.n
+                    self.slice_for(rec, user), self.corpus, self.purchase_sets, kind, self.n
                 )
         return per_user[user]
 
@@ -306,13 +309,15 @@ class _Engine:
         return distance
 
 
-def _evaluate(engine: _Engine, name: str, produce, task: str, averaging: str):
+def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     """Run one recommender over all eligible users and aggregate the metrics.
 
-    ``produce(user)`` returns (product list, task list). Returns the report
+    Accuracy reads the task lists; coverage and diversity read the product
+    lists, which on the products task are the task lists. Returns the report
     row, the curve points, and diagnostic counts. Accumulation iterates users
     in sorted order so results do not depend on evaluation scheduling.
     """
+    name = _display_id(rec)
     eligible = sorted(engine.split.eligible)
     n = engine.n
     recall_sums = {k: 0.0 for k in CURVE_KS}
@@ -321,7 +326,8 @@ def _evaluate(engine: _Engine, name: str, produce, task: str, averaging: str):
     served_products = served_task = short_product_lists = 0
 
     for user in eligible:
-        product_list, task_list = produce(user)
+        task_list = engine.task_list(rec, task, user)
+        product_list = task_list if task == "products" else engine.task_list(rec, "products", user)
         relevant = engine.relevant(task, user)
         ids = task_list.item_ids()
         if len(product_list) > 0:
@@ -394,29 +400,14 @@ def run_experiment(
     users. Unserved users count as zero under "harsh" averaging and are
     excluded from accuracy means under "skip"; coverage and diversity always
     average over all eligible users. Derived hybrid weights come from the
-    inner weighting split seeded with the split's seed + 1.
+    inner weighting split seeded with the split's seed + 1; a hybrid whose
+    derived weights are all 0 serves only empty lists.
     """
     check_experiment(
         recommenders, task, knn_k=knn_k, list_length=list_length, averaging=averaging
     )
     engine = _Engine(corpus, split, knn_k, list_length)
-    weighting_seed = split.seed + 1
-
-    inner_engine: Optional[_Engine] = None
-    quality_cache: dict[str, float] = {}
-
-    def component_quality(component: str) -> float:
-        """nDCG@N of one component on the inner weighting split (harsh mean)."""
-        nonlocal inner_engine
-        if component not in quality_cache:
-            if inner_engine is None:
-                inner_engine = _Engine(
-                    corpus, make_weighting_split(split, weighting_seed), knn_k, list_length,
-                    outer=engine,
-                )
-            quality_cache[component] = _harsh_ndcg(inner_engine, component, task)
-        return quality_cache[component]
-
+    inner: Optional[_Engine] = None  # built for the first derived-weight hybrid
     report = EvalReport(task=task, list_length=list_length)
     meta = report.metadata
     meta["task"] = task
@@ -430,52 +421,22 @@ def run_experiment(
     for rec in recommenders:
         name = _display_id(rec)
         if isinstance(rec, HybridDef):
-            if rec.weights is not None:
-                weights = HybridWeights(dict(rec.weights))
-            else:
-                weights = HybridWeights({c: component_quality(c) for c in rec.components})
-                meta.setdefault("weighting_seed", str(weighting_seed))
+            if rec.weights is None:
+                if inner is None:
+                    inner = _Engine(
+                        corpus, make_weighting_split(split, split.seed + 1), knn_k, list_length,
+                        outer=engine,
+                    )
+                    meta["weighting_seed"] = str(inner.split.seed)
+                rec = replace(rec, weights={c: _harsh_ndcg(inner, c, task) for c in rec.components})
             for component in rec.components:
-                meta[f"weight.{name}.{component}"] = _fmt(weights.weights[component])
-            produce = _hybrid_producer(engine, rec, weights, task)
-        else:
-            produce = _simple_producer(engine, rec, task)
-        row, curves, diagnostics = _evaluate(engine, name, produce, task, averaging)
+                meta[f"weight.{name}.{component}"] = _fmt(rec.weights[component])
+        row, curves, diagnostics = _evaluate(engine, rec, task, averaging)
         report.rows.append(row)
         report.curves.extend(curves)
         meta[f"served.{name}"] = str(diagnostics["served"])
         meta[f"short_product_lists.{name}"] = str(diagnostics["short_product_lists"])
     return report
-
-
-def _simple_producer(engine, rec_id, task):
-    def produce(user):
-        return engine.product_list(rec_id, user), engine.task_list(rec_id, task, user)
-
-    return produce
-
-
-def _hybrid_producer(engine, hybrid: HybridDef, weights: HybridWeights, task):
-    kind = TASK_LISTS[task][0]
-
-    def produce(user):
-        product_lists = {
-            c: normalize_scores(engine.product_list(c, user)) for c in hybrid.components
-        }
-        product = weighted_sum_hybrid(
-            product_lists, weights.weights, engine.n, target=user, kind="product"
-        )
-        if kind == "product":
-            return product, product
-        task_lists = {
-            c: normalize_scores(engine.task_list(c, task, user)) for c in hybrid.components
-        }
-        combined = weighted_sum_hybrid(
-            task_lists, weights.weights, engine.n, target=user, kind=kind
-        )
-        return product, combined
-
-    return produce
 
 
 def check_experiment(

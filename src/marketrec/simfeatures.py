@@ -25,36 +25,21 @@ from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 DEFAULT_K = 40
 _Key = TypeVar("_Key", str, int)
 
-_CONTENT_SUFFIXES = {
-    "common": "common_entities",
-    "total": "total_entities",
-    "jaccard": "jaccard_entities",
-}
-_NETWORK_SUFFIXES = {
-    "directed": "directed_interactions",
-    "cn": "common_neighbors",
-    "jaccard": "jaccard_neighbors",
-    "aa": "adamic_adar",
-    "no": "neighborhood_overlap",
-    "pa": "preferential_attachment",
-}
-# (prefix, selector) -> (source, entity kind)
+_CONTENT_SUFFIXES = ("common", "total", "jaccard")
+# the directed feature only exists on the social graph: co-attendance has no direction
+_NETWORK_SUFFIXES = ("directed", "cn", "jaccard", "aa", "no", "pa")
+# (prefix, selector) -> entity kind
 _CONTENT_SELECTORS = {
-    ("mp", "purchases"): ("marketplace", "purchases"),
-    ("mp", "sellers"): ("marketplace", "sellers"),
-    ("mp", "categories"): ("marketplace", "categories"),
-    ("sn", "groups"): ("social", "groups"),
-    ("sn", "interests"): ("social", "interests"),
-    ("loc", "favored"): ("location", "favored_locations"),
-    ("loc", "shared"): ("location", "shared_locations"),
-    ("loc", "monitored"): ("location", "monitored_locations"),
+    ("mp", "purchases"): "purchases",
+    ("mp", "sellers"): "sellers",
+    ("mp", "categories"): "categories",
+    ("sn", "groups"): "groups",
+    ("sn", "interests"): "interests",
+    ("loc", "favored"): "favored_locations",
+    ("loc", "shared"): "shared_locations",
+    ("loc", "monitored"): "monitored_locations",
 }
-# prefix -> (source, graph name); the directed feature only exists on the
-# social graph because co-attendance has no direction.
-_GRAPH_SELECTORS = {
-    "sn": ("social", "social"),
-    "loc": ("location", "colocation"),
-}
+_GRAPH_SELECTORS = {"sn": "social", "loc": "colocation"}  # prefix -> graph name
 
 
 class UnknownFeatureError(ValueError):
@@ -69,25 +54,20 @@ class UnknownUserError(KeyError):
 class FeatureSpec:
     """Resolved form of a feature identifier."""
 
-    source: str  # marketplace | social | location
-    family: str  # content | network
-    feature: str  # canonical feature name
+    feature: str  # the id's suffix: common | total | jaccard | directed | cn | aa | no | pa
     entity_kind: Optional[str] = None  # content features only
     graph: Optional[str] = None  # network features only: social | colocation
 
 
 def _enumerate_features():
     table = {}
-    for (prefix, selector), (source, kind) in _CONTENT_SELECTORS.items():
-        for suffix, feature in _CONTENT_SUFFIXES.items():
-            fid = f"{prefix}.{selector}.{suffix}"
-            table[fid] = FeatureSpec(source, "content", feature, entity_kind=kind)
-    for prefix, (source, graph) in _GRAPH_SELECTORS.items():
-        for suffix, feature in _NETWORK_SUFFIXES.items():
-            if feature == "directed_interactions" and graph != "social":
-                continue
-            fid = f"{prefix}.graph.{suffix}"
-            table[fid] = FeatureSpec(source, "network", feature, graph=graph)
+    for (prefix, selector), kind in _CONTENT_SELECTORS.items():
+        for suffix in _CONTENT_SUFFIXES:
+            table[f"{prefix}.{selector}.{suffix}"] = FeatureSpec(suffix, entity_kind=kind)
+    for prefix, graph in _GRAPH_SELECTORS.items():
+        for suffix in _NETWORK_SUFFIXES:
+            if suffix != "directed" or graph == "social":
+                table[f"{prefix}.graph.{suffix}"] = FeatureSpec(suffix, graph=graph)
     return table
 
 
@@ -214,7 +194,7 @@ class SimilarityContext:
         ``directed`` is the larger of the two one-directional counts, so that
         it yields a neighbourhood like every other feature.
         """
-        if spec.family == "content":
+        if spec.graph is None:
             own = self.entity_sets(spec.entity_kind).get(target, frozenset())
             index = self.entity_index(spec.entity_kind)
             counts = Counter(chain.from_iterable(index[entity] for entity in own))
@@ -227,14 +207,14 @@ class SimilarityContext:
             if not own:
                 return {}
             masks, n, size = graph.masks, graph.degrees[i], graph.degrees
-            if spec.feature == "directed_interactions":
+            if spec.feature == "directed":
                 count = self.directed_count
                 named = ((v, graph.users[v]) for v in set_bits(own))
                 return {v: float(max(count(target, u), count(u, target))) for v, u in named}
-            if spec.feature == "preferential_attachment":
+            if spec.feature == "pa":
                 ranked = (entry for entry in graph.by_degree if entry[0] != target)
                 return {graph.index[v]: float(n * d) for v, d in islice(ranked, k)}
-            if spec.feature == "adamic_adar":
+            if spec.feature == "aa":
                 # z in ascending id order adds each pair's terms in the oracle's order; a
                 # neighbour of degree 1 links only to the target, and log(1) = 0
                 sums: dict[int, float] = {}
@@ -249,11 +229,11 @@ class SimilarityContext:
             for z in set_bits(own):
                 reach |= masks[z]
             shared = ((v, (own & masks[v]).bit_count()) for v in set_bits(reach ^ (1 << i)))
-        if spec.feature in ("common_entities", "common_neighbors"):
+        if spec.feature in ("common", "cn"):
             return {v: float(c) for v, c in shared}
-        if spec.feature in ("jaccard_entities", "jaccard_neighbors"):
+        if spec.feature == "jaccard":
             return {v: c / (n + size[v] - c) for v, c in shared}
-        if spec.feature == "neighborhood_overlap":
+        if spec.feature == "no":
             return {v: c / (n + size[v]) for v, c in shared}
         # total entities: unless the target has none, every other user scores. Walk users
         # largest first; once n + size is below the k-th best score, no later user ties it

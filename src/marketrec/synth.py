@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import CORPUS_FILES, SOCIAL_KINDS
+from .corpus import _HEADERS, CORPUS_FILES, SOCIAL_KINDS
 
 MANIFEST_NAME = "manifest.json"
 
@@ -168,24 +168,24 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
             location_rows.append([user, location, "monitored", event_id])
 
     tables = {
-        "products": (["product_id", "seller_id", "category_path"], product_rows),
-        "purchases": (["buyer_id", "product_id"], purchase_rows),
-        "social": (["actor_id", "target_id", "kind"], social_rows),
-        "groups": (["user_id", "group_id"], group_rows),
-        "interests": (["user_id", "interest_id"], interest_rows),
-        "locations": (["user_id", "location_id", "kind", "event_id"], location_rows),
+        "products": product_rows,
+        "purchases": purchase_rows,
+        "social": social_rows,
+        "groups": group_rows,
+        "interests": interest_rows,
+        "locations": location_rows,
     }
-    for table, (header, rows) in tables.items():
+    for table, rows in tables.items():
         with open(out / CORPUS_FILES[table], "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
+            writer.writerow(_HEADERS[table])
             writer.writerows(rows)
 
     manifest = {
         "spec": asdict(spec),
         "user_clusters": user_cluster,
         "product_clusters": product_cluster,
-        "counts": {table: len(rows) for table, (_, rows) in tables.items()},
+        "counts": {table: len(rows) for table, rows in tables.items()},
         "files": dict(CORPUS_FILES),
     }
     (out / MANIFEST_NAME).write_text(

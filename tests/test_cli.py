@@ -10,6 +10,8 @@ from marketrec.cli import (
 )
 from marketrec.evalharness import HybridDef
 
+from conftest import PLANTED_SPLIT_SEED
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -165,6 +167,19 @@ def test_run_rejects_nan_hybrid_weight(tmp_path, dataset, capsys):
     assert f"error: {config}: " in err
     assert "hybrid weights must be finite and non-negative" in err
     assert not (tmp_path / "results").exists()
+
+
+def test_run_reports_all_zero_derived_weights(tmp_path, planted_dataset, capsys):
+    directory, _ = planted_dataset
+    config = _config_file(tmp_path, directory, "\n[hybrid:h]\ncomponents = mp.purchases.jaccard\n")
+    assert main(["run", "--config", str(config), "--seed", str(PLANTED_SPLIT_SEED)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    results = tmp_path / "results" / "products"
+    report = (results / "report.tsv").read_text().splitlines()
+    assert report[-1] == "h\t0.000000\t0.000000\t0.000000\t0.000000\t0.000000"
+    meta = dict(line.split("\t") for line in (results / "meta.tsv").read_text().splitlines())
+    assert meta["weight.h.mp.purchases.jaccard"] == "0.000000"
+    assert meta["served.h"] == "0"
 
 
 def test_config_value_validation(tmp_path, dataset):

@@ -1,5 +1,7 @@
+import gc
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -11,6 +13,7 @@ from marketrec.evalharness import (
     TASKS,
     EvalReport,
     HybridDef,
+    ReportRow,
     _Engine,
     _evaluate,
     _harsh_ndcg,
@@ -289,17 +292,17 @@ def test_perfect_recommender_scores_one(medium_corpus):
     split = make_split(medium_corpus, seed=4)
     assert split.eligible
     engine = _Engine(medium_corpus, split, 10, 10)
-
-    def perfect(user):
-        items = tuple((item, 1.0) for item in sorted(split.test[user]))
-        lst = RecommendationList(target=user, kind="product", items=items)
-        return lst, lst
-
-    row, curves, _ = _evaluate(engine, "perfect", perfect, "products", "harsh")
-    assert row.ndcg == pytest.approx(1.0, **APPROX)
-    assert row.recall == pytest.approx(1.0, **APPROX)
-    assert row.precision == pytest.approx(1.0, **APPROX)
-    assert row.coverage == 1.0
+    # the engine serves "perfect" from its list cache: each user's withheld products
+    engine._lists["perfect", "product"] = {
+        user: RecommendationList(user, "product", tuple((p, 1.0) for p in sorted(split.test[user])))
+        for user in split.eligible
+    }
+    for rec in ("perfect", HybridDef("mix", ("perfect",), weights={"perfect": 1.0})):
+        row, curves, _ = _evaluate(engine, rec, "products", "harsh")
+        assert row.ndcg == pytest.approx(1.0, **APPROX)
+        assert row.recall == pytest.approx(1.0, **APPROX)
+        assert row.precision == pytest.approx(1.0, **APPROX)
+        assert row.coverage == 1.0
 
 
 def test_most_popular_full_coverage(medium_corpus):
@@ -438,11 +441,7 @@ def test_ndcg_only_weight_quality_equals_full_evaluation(planted_corpus):
     for task in TASKS:
         inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10)
         for component in derived.components:
-
-            def produce(user):
-                return inner.product_list(component, user), inner.task_list(component, task, user)
-
-            expected = _evaluate(inner, component, produce, task, "harsh")[0].ndcg
+            expected = _evaluate(inner, component, task, "harsh")[0].ndcg
             assert _harsh_ndcg(inner, component, task) == expected
 
 
@@ -505,18 +504,12 @@ def test_all_reported_metrics_within_bounds(medium_corpus):
 def test_product_lists_never_contain_training_purchases(medium_corpus):
     split = make_split(medium_corpus, seed=2)
     engine = _Engine(medium_corpus, split, 10, 10)
-    from marketrec.evalharness import _hybrid_producer
-    from marketrec.recommender import HybridWeights
-
-    hybrid = HybridDef("mix", ("mp.purchases.jaccard", "sn.graph.cn"))
-    weights = HybridWeights({"mp.purchases.jaccard": 0.5, "sn.graph.cn": 0.5})
-    produce = _hybrid_producer(engine, hybrid, weights, "products")
+    weights = {"mp.purchases.jaccard": 0.5, "sn.graph.cn": 0.5}
+    hybrid = HybridDef("mix", ("mp.purchases.jaccard", "sn.graph.cn"), weights=weights)
     for user in sorted(split.eligible)[:15]:
         owned = engine.purchase_sets.get(user, frozenset())
-        for rec_id in ("most_popular", "mp.purchases.jaccard", "sn.graph.cn"):
-            assert owned.isdisjoint(engine.product_list(rec_id, user).item_ids())
-        combined, _ = produce(user)
-        assert owned.isdisjoint(combined.item_ids())
+        for rec in ("most_popular", "mp.purchases.jaccard", "sn.graph.cn", hybrid):
+            assert owned.isdisjoint(engine.task_list(rec, "products", user).item_ids())
 
 
 def test_unknown_feature_id_rejected(medium_corpus):
@@ -598,11 +591,59 @@ def test_single_component_hybrid_matches_component(medium_corpus):
     assert solo.coverage == single.coverage
 
 
+def test_all_zero_derived_weights_serve_empty_lists(planted_corpus):
+    # the inner weighting split leaves purchase neighbourhoods nothing to recommend
+    split = make_split(planted_corpus, PLANTED_SPLIT_SEED)
+    hybrid = HybridDef("h", ("mp.purchases.jaccard",))
+    for task in TASKS:
+        report = run_experiment(planted_corpus, split, [hybrid], task)
+        meta = report.metadata
+        assert meta["weight.h.mp.purchases.jaccard"] == "0.000000"
+        assert meta["served.h"] == "0"
+        assert meta["short_product_lists.h"] == str(len(split.eligible))
+        assert report.rows == [ReportRow("h", 0.0, 0.0, 0.0, 0.0, 0.0)]
+        assert {(p.recall, p.precision) for p in report.curves} == {(0.0, 0.0)}
+
+
+@pytest.mark.parametrize("weights", [None, {"sn.graph.no": 0.4, "mp.purchases.jaccard": 0.6}])
+def test_hybrid_named_like_its_component_reports_as_any_name(medium_corpus, weights):
+    split = make_split(medium_corpus, seed=4)
+    components = ("sn.graph.no", "mp.purchases.jaccard")
+    # a second hybrid reads the component's own lists after the first one ran
+    pair = HybridDef("pair", ("sn.graph.no", "loc.monitored.jaccard"))
+    for task in TASKS:
+        rows = {}
+        for name in ("sn.graph.no", "mix"):
+            recs = [HybridDef(name, components, weights), pair]
+            report = run_experiment(medium_corpus, split, recs, task)
+            row, pair_row = report.rows
+            rows[name] = (replace(row, recommender="mix"), pair_row)
+            assert [p.recommender for p in report.curves[: len(CURVE_KS)]] == [name] * len(CURVE_KS)
+        assert rows["sn.graph.no"] == rows["mix"]
+        if weights is not None:
+            (alone,) = run_experiment(medium_corpus, split, ["sn.graph.no"], task).rows
+            assert replace(alone, recommender="mix") != rows["mix"][0]
+
+
+def test_run_experiment_leaves_no_reference_cycles(medium_corpus):
+    split = make_split(medium_corpus, seed=4)
+    hybrid = HybridDef("auto", ("mp.purchases.jaccard", "sn.graph.no"))
+    gc.collect()
+    gc.disable()
+    try:
+        for task in ("products", "top_categories"):
+            run_experiment(medium_corpus, split, ["sn.graph.cn", hybrid], task)
+        # everything the runs built was freed by reference counting alone
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --- report serialization -----------------------------------------------------
 
 
 def test_report_tables_and_files(tmp_path):
-    from marketrec.evalharness import CurvePoint, ReportRow
+    from marketrec.evalharness import CurvePoint
 
     report = EvalReport(task="products", list_length=10)
     report.rows.append(ReportRow("most_popular", 0.1, 0.2, 0.3, 0.4, 1.0))

@@ -151,17 +151,18 @@ def test_feature_id_roundtrip():
     assert len({parse_feature_id(feature_id) for feature_id in ALL_FEATURE_IDS}) == 35
     for feature_id in ALL_FEATURE_IDS:
         spec = parse_feature_id(feature_id)
-        if spec.family == "content":
-            assert spec.entity_kind is not None and spec.graph is None
-        else:
+        _, selector, suffix = feature_id.split(".")
+        assert spec.feature == suffix
+        if selector == "graph":
             assert spec.graph is not None and spec.entity_kind is None
+        else:
+            assert spec.entity_kind is not None and spec.graph is None
 
 
 def test_known_feature_id_shapes():
     spec = parse_feature_id("sn.graph.no")
-    assert spec == FeatureSpec("social", "network", "neighborhood_overlap", graph="social")
-    spec = parse_feature_id("mp.purchases.jaccard")
-    assert spec.entity_kind == "purchases"
+    assert spec == FeatureSpec("no", graph="social")
+    assert parse_feature_id("mp.purchases.jaccard") == FeatureSpec("jaccard", entity_kind="purchases")
     assert parse_feature_id("loc.graph.aa").graph == "colocation"
 
 
@@ -215,7 +216,7 @@ def test_network_feature_laws(edges, i, j):
 _members = st.integers(0, 13).map("u{}".format)
 _events = st.lists(st.lists(_members, min_size=1, max_size=10), max_size=6)
 _pairs = st.lists(st.tuples(_members, _members).filter(lambda e: e[0] != e[1]), max_size=30)
-GRAPH_FEATURE_IDS = tuple(f for f in ALL_FEATURE_IDS if parse_feature_id(f).family == "network")
+GRAPH_FEATURE_IDS = tuple(f for f in ALL_FEATURE_IDS if parse_feature_id(f).graph is not None)
 
 
 @given(_events, _pairs)
