@@ -10,7 +10,10 @@ integrity; the loaded corpus is immutable.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
@@ -47,6 +50,8 @@ _HEADERS = {
     "interests": ["user_id", "interest_id"],
     "locations": ["user_id", "location_id", "kind", "event_id"],
 }
+# fields that may be empty, or whose loader names the values they may take
+_NOT_REQUIRED = ("category_path", "kind", "event_id")
 
 
 class CorpusError(Exception):
@@ -79,39 +84,39 @@ class DuplicateProductError(CorpusError):
         self.product_id = product_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     id: str
     seller: str
     category_path: tuple[str, ...]  # ordered top level -> low level, length <= 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Purchase:
     buyer: str
     product: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SocialInteraction:
     actor: str
     target: str
     kind: str  # love | comment | wallpost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Membership:
     user: str
     group: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterestTag:
     user: str
     interest: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationRecord:
     user: str
     location: str
@@ -162,14 +167,9 @@ def load_corpus(data_dir: str | Path) -> Corpus:
     interest_rows = _load_pairs(path["interests"], "interests", InterestTag)
     location_rows = _load_locations(path["locations"])
 
-    users = set()
+    users = {row.user for rows in (membership_rows, interest_rows, location_rows) for row in rows}
     users.update(p.buyer for p in purchase_rows)
-    for s in social_rows:
-        users.add(s.actor)
-        users.add(s.target)
-    users.update(m.user for m in membership_rows)
-    users.update(t.user for t in interest_rows)
-    users.update(r.user for r in location_rows)
+    users.update(chain.from_iterable((s.actor, s.target) for s in social_rows))
 
     return Corpus(
         products=product_table,
@@ -188,15 +188,7 @@ def with_purchases(corpus: Corpus, purchases: Iterable[Purchase]) -> Corpus:
     The user universe is preserved so that users whose purchases were
     filtered out (for example by a train/test split) remain known.
     """
-    return Corpus(
-        products=corpus.products,
-        purchases=tuple(purchases),
-        social=corpus.social,
-        memberships=corpus.memberships,
-        interests=corpus.interests,
-        locations=corpus.locations,
-        users=corpus.users,
-    )
+    return dataclasses.replace(corpus, purchases=tuple(purchases))
 
 
 def entity_sets(corpus: Corpus, kind: str) -> dict[str, frozenset[str]]:
@@ -226,11 +218,7 @@ def entity_sets(corpus: Corpus, kind: str) -> dict[str, frozenset[str]]:
         for tag in corpus.interests:
             acc[tag.user].add(tag.interest)
     else:
-        location_kind = {
-            "favored_locations": "favored",
-            "shared_locations": "shared",
-            "monitored_locations": "monitored",
-        }[kind]
+        location_kind = kind.removesuffix("_locations")
         for record in corpus.locations:
             if record.kind == location_kind:
                 acc[record.user].add(record.location)
@@ -238,7 +226,11 @@ def entity_sets(corpus: Corpus, kind: str) -> dict[str, frozenset[str]]:
 
 
 def _read_rows(path: str | Path, table: str):
-    """Yield (line_number, row) for each data row, after checking the header."""
+    """Yield (file name, line number, row) for each data row, after checking the header.
+
+    Fields are interned: an id repeats across rows and tables, and each
+    repeat then shares one string object.
+    """
     expected = _HEADERS[table]
     name = str(path)
     try:
@@ -262,25 +254,21 @@ def _read_rows(path: str | Path, table: str):
                 raise MalformedRowError(
                     name, line, expected[0], f"expected {len(expected)} fields, got {len(row)}"
                 )
-            yield name, line, row
-
-
-def _require(value: str, file: str, line: int, field_name: str) -> str:
-    if not value:
-        raise MalformedRowError(file, line, field_name, "must be non-empty")
-    return value
+            if not all(row):
+                for field, value in zip(expected, row):
+                    if not value and field not in _NOT_REQUIRED:
+                        raise MalformedRowError(name, line, field, "must be non-empty")
+            yield name, line, list(map(sys.intern, row))
 
 
 def _load_products(path) -> dict[str, Product]:
     table: dict[str, Product] = {}
     for name, line, (product_id, seller_id, raw_path) in _read_rows(path, "products"):
-        _require(product_id, name, line, "product_id")
-        _require(seller_id, name, line, "seller_id")
         if product_id in table:
             raise DuplicateProductError(
                 product_id, f"{name}:{line}: duplicate product id {product_id!r}"
             )
-        segments = tuple(raw_path.split("|")) if raw_path else ()
+        segments = tuple(map(sys.intern, raw_path.split("|"))) if raw_path else ()
         if any(not segment for segment in segments):
             raise MalformedRowError(name, line, "category_path", "empty path segment")
         if len(segments) > MAX_CATEGORY_DEPTH:
@@ -292,75 +280,51 @@ def _load_products(path) -> dict[str, Product]:
             raise MalformedRowError(
                 name, line, "category_path", "path entries must be distinct"
             )
-        table[product_id] = Product(id=product_id, seller=seller_id, category_path=segments)
+        table[product_id] = Product(product_id, seller_id, segments)
     return table
 
 
 def _load_purchases(path, products: Mapping[str, Product]) -> list[Purchase]:
     rows = []
     for name, line, (buyer_id, product_id) in _read_rows(path, "purchases"):
-        _require(buyer_id, name, line, "buyer_id")
-        _require(product_id, name, line, "product_id")
         if product_id not in products:
             raise DanglingReferenceError(
                 product_id,
                 f"{name}:{line}: purchase references unknown product {product_id!r}",
             )
-        rows.append(Purchase(buyer=buyer_id, product=product_id))
+        rows.append(Purchase(buyer_id, product_id))
     return rows
 
 
 def _load_social(path) -> list[SocialInteraction]:
     rows = []
     for name, line, (actor_id, target_id, kind) in _read_rows(path, "social"):
-        _require(actor_id, name, line, "actor_id")
-        _require(target_id, name, line, "target_id")
         if kind not in SOCIAL_KINDS:
             raise MalformedRowError(
                 name, line, "kind", f"must be one of {', '.join(SOCIAL_KINDS)}"
             )
         if actor_id == target_id:
             raise MalformedRowError(name, line, "target_id", "actor and target must differ")
-        rows.append(SocialInteraction(actor=actor_id, target=target_id, kind=kind))
+        rows.append(SocialInteraction(actor_id, target_id, kind))
     return rows
 
 
 def _load_pairs(path, table: str, row_type):
     # (user, entity) pairs are deduplicated on load, keeping first occurrence order.
-    rows = []
-    seen = set()
-    fields = _HEADERS[table]
-    for name, line, (user_id, entity_id) in _read_rows(path, table):
-        _require(user_id, name, line, fields[0])
-        _require(entity_id, name, line, fields[1])
-        if (user_id, entity_id) in seen:
-            continue
-        seen.add((user_id, entity_id))
-        rows.append(row_type(user_id, entity_id))
-    return rows
+    pairs = dict.fromkeys(tuple(row) for _, _, row in _read_rows(path, table))
+    return [row_type(user_id, entity_id) for user_id, entity_id in pairs]
 
 
 def _load_locations(path) -> list[LocationRecord]:
     rows = []
     for name, line, (user_id, location_id, kind, event_id) in _read_rows(path, "locations"):
-        _require(user_id, name, line, "user_id")
-        _require(location_id, name, line, "location_id")
         if kind not in LOCATION_KINDS:
             raise MalformedRowError(
                 name, line, "kind", f"must be one of {', '.join(LOCATION_KINDS)}"
             )
-        if kind == "monitored":
-            _require(event_id, name, line, "event_id")
-        elif event_id:
-            raise MalformedRowError(
-                name, line, "event_id", f"must be empty for kind {kind!r}"
-            )
-        rows.append(
-            LocationRecord(
-                user=user_id,
-                location=location_id,
-                kind=kind,
-                event_key=event_id if kind == "monitored" else None,
-            )
-        )
+        if kind == "monitored" and not event_id:
+            raise MalformedRowError(name, line, "event_id", "must be non-empty")
+        if kind != "monitored" and event_id:
+            raise MalformedRowError(name, line, "event_id", f"must be empty for kind {kind!r}")
+        rows.append(LocationRecord(user_id, location_id, kind, event_id or None))
     return rows

@@ -2,29 +2,35 @@
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .corpus import Corpus
 
-_ONE = re.compile("1")
+# the most bytes a temporary over a slice of a graph's rows may take
+CHUNK_BYTES = 1 << 20
 
 
-def set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    return [match.start() for match in _ONE.finditer(bin(mask)[:1:-1])]
+def row_slices(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` whose rows of ``width`` bytes fill at most CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // width)
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 class InteractionGraph:
-    """Undirected user graph held as one neighbour bitmask per user.
+    """Undirected user graph held as one packed neighbour row per user.
 
     Each pair in ``edges`` and every two members of each set in ``groups``
     share an edge: at least one shared action, whose count no feature reads.
-    Bit i of ``masks[j]`` links ``users[i]`` and ``users[j]``. ``users`` is
-    sorted by id, so ascending set bits are neighbours in ascending id order.
+    ``rows`` is a uint8 matrix with one row per entry of ``users``, which is
+    sorted by id. Rows are packed little-endian: bit i of row j (bit i % 8 of
+    byte i // 8) links ``users[i]`` and ``users[j]``. Each row is padded with
+    zero bits to a whole number of 64-bit words, so kernels may read it as
+    uint64.
     """
 
     def __init__(self, vertices: frozenset[str], edges: Iterable[tuple[str, str]] = (),
@@ -33,26 +39,61 @@ class InteractionGraph:
         self.vertices = vertices
         self.users = sorted(vertices.union(chain.from_iterable(edges), *groups))
         self.index = index = {user: i for i, user in enumerate(self.users)}
-        self.masks = masks = [0] * len(self.users)
+        width = -(-len(self.users) // 64) * 8
+        self.rows = rows = np.zeros((len(self.users), width), np.uint8)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            masks[index[u]] |= 1 << index[v]
-            masks[index[v]] |= 1 << index[u]
+        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.intp).reshape(-1, 2)
+        ends, others = np.concatenate([ends, ends[:, ::-1]]).T  # each edge in both directions
+        np.bitwise_or.at(rows, (ends, others >> 3), (1 << (others & 7)).astype(np.uint8))
         for group in groups:
-            positions = {index[user] for user in group}
-            clique = sum(1 << i for i in positions)
-            for i in positions:
-                masks[i] |= clique ^ (1 << i)
-        self.degrees = [mask.bit_count() for mask in masks]
+            members = np.fromiter(map(index.__getitem__, group), np.intp, len(group))
+            clique = np.zeros(width * 8, bool)
+            clique[members] = True
+            clique = np.packbits(clique, bitorder="little")
+            for part in row_slices(len(members), width):
+                rows[members[part]] |= clique
+        # a group sets each member's own bit
+        diagonal = np.arange(len(rows))
+        rows[diagonal, diagonal >> 3] &= ~(1 << (diagonal & 7)).astype(np.uint8)
+        self.degrees = np.bitwise_count(rows.view(np.uint64)).sum(axis=1, dtype=np.int64)
+
+    def row_bits(self, i: int) -> np.ndarray:
+        """Row i as one 0/1 uint8 per user, in ``users`` order."""
+        return np.unpackbits(self.rows[i], count=len(self.users), bitorder="little")
+
+    def neighbor_positions(self, i: int) -> np.ndarray:
+        """Positions in ``users`` of the neighbours of ``users[i]``, ascending."""
+        return np.flatnonzero(self.row_bits(i))
+
+    def shared_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the users two hops from ``users[i]``, ascending, and their shared neighbour counts.
+
+        The reach is the OR of the neighbours' rows; each count is the bit count of
+        the AND of two rows. Both read at most CHUNK_BYTES of rows at a time.
+        """
+        rows, width = self.rows, self.rows.shape[1]
+        near, reach = self.neighbor_positions(i), np.zeros(width, np.uint8)
+        for part in row_slices(len(near), width):
+            reach |= np.bitwise_or.reduce(rows[near[part]], axis=0)
+        two_hop = np.flatnonzero(np.unpackbits(reach, count=len(self.users), bitorder="little"))
+        two_hop = two_hop[two_hop != i]
+        own, words, counts = rows[i].view(np.uint64), rows.view(np.uint64), np.empty(len(two_hop), np.int64)
+        for part in row_slices(len(two_hop), width):
+            shared = words[two_hop[part]]
+            shared &= own  # in place: allocating a second temporary costs more than the AND
+            counts[part] = np.bitwise_count(shared).sum(axis=1)
+        return two_hop, counts
 
     def neighbors(self, user: str) -> frozenset[str]:
         """All users sharing an edge with ``user``; empty for isolated or unknown users."""
-        bits = set_bits(self.masks[self.index[user]]) if user in self.index else ()
-        return frozenset(map(self.users.__getitem__, bits))
+        if user not in self.index:
+            return frozenset()
+        return frozenset(map(self.users.__getitem__, self.neighbor_positions(self.index[user]).tolist()))
 
     def degree(self, user: str) -> int:
-        return self.degrees[self.index[user]] if user in self.index else 0
+        return int(self.degrees[self.index[user]]) if user in self.index else 0
 
     @cached_property
     def by_degree(self) -> list[tuple[str, int]]:

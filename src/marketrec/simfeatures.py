@@ -12,15 +12,16 @@ interaction graph, neighbourhood overlap). See ALL_FEATURE_IDS.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Mapping, Optional, TypeVar
 
+import numpy as np
+
 from .corpus import Corpus, entity_sets
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, set_bits
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 DEFAULT_K = 40
 _Key = TypeVar("_Key", str, int)
@@ -111,20 +112,33 @@ def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, fl
     return [(key, -s) for s, key in entries[:n]]
 
 
+def _cut(names: list[str], positions: np.ndarray, scores: np.ndarray, k: int) -> dict[str, float]:
+    """The entries scoring at or above the k-th best score, keyed by ``names[position]``.
+
+    Ties at the cut survive, so top_n alone decides among them.
+    """
+    if len(scores) > k:
+        keep = scores >= np.partition(scores, -k)[-k]
+        positions, scores = positions[keep], scores[keep]
+    return dict(zip(map(names.__getitem__, positions.tolist()), scores.tolist()))
+
+
 class SimilarityContext:
     """Lazily built indexes over one corpus for fast feature evaluation.
 
     Everything is derived from an immutable corpus, so a context is safe for
     concurrent reads once built. Graphs and indexes are built on first use.
+    Content indexes hold positions in ``users``, the corpus users sorted by
+    id; a graph built from the corpus orders its rows the same way.
     """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
+        self.users = sorted(corpus.users)
+        self._position = {user: i for i, user in enumerate(self.users)}
         self._graphs: dict[str, InteractionGraph] = {}
         self._entity_sets: dict[str, dict[str, frozenset[str]]] = {}
-        self._entity_index: dict[str, dict[str, set[str]]] = {}
-        self._sizes: dict[str, dict[str, int]] = {}
-        self._by_size: dict[str, list[tuple[str, int]]] = {}
+        self._content: dict[str, tuple[dict[str, np.ndarray], np.ndarray]] = {}
         self._directed: dict[tuple[str, str], int] | None = None
 
     def graph(self, name: str) -> InteractionGraph:
@@ -142,27 +156,17 @@ class SimilarityContext:
             self._entity_sets[kind] = entity_sets(self.corpus, kind)
         return self._entity_sets[kind]
 
-    def _set_sizes(self, kind: str) -> dict[str, int]:
-        """Every user's entity count for ``kind``."""
-        if kind not in self._sizes:
-            self._sizes[kind] = {user: len(values) for user, values in self.entity_sets(kind).items()}
-        return self._sizes[kind]
-
-    def by_size(self, kind: str) -> list[tuple[str, int]]:
-        """Every user with their entity count for ``kind``, largest first, ties by id."""
-        if kind not in self._by_size:
-            self._by_size[kind] = top_n(self._set_sizes(kind), None)
-        return self._by_size[kind]
-
-    def entity_index(self, kind: str) -> dict[str, set[str]]:
-        """Inverted index entity id -> users holding it, for counting shared entities."""
-        if kind not in self._entity_index:
-            index: dict[str, set[str]] = {}
-            for user, values in self.entity_sets(kind).items():
-                for entity in values:
-                    index.setdefault(entity, set()).add(user)
-            self._entity_index[kind] = index
-        return self._entity_index[kind]
+    def _content_index(self, kind: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Entity id -> int32 positions of the users holding it, and each user's entity count."""
+        if kind not in self._content:
+            sets = self.entity_sets(kind)
+            positions: dict[str, list[int]] = defaultdict(list)
+            for i, user in enumerate(self.users):
+                for entity in sets[user]:
+                    positions[entity].append(i)
+            sizes = np.fromiter(map(len, map(sets.__getitem__, self.users)), np.int64, len(self.users))
+            self._content[kind] = ({e: np.array(p, np.int32) for e, p in positions.items()}, sizes)
+        return self._content[kind]
 
     def directed_count(self, actor: str, target: str) -> int:
         if self._directed is None:
@@ -180,68 +184,59 @@ class SimilarityContext:
             raise UnknownUserError(target)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        best = top_n(self._scores(spec, target, k), k)
-        if spec.graph:
-            names = self.graph(spec.graph).users
-            best = [(names[v], s) for v, s in best]
-        return SimilarityMatrixSlice(target, tuple(best))
+        return SimilarityMatrixSlice(target, tuple(top_n(self._scores(spec, target, k), k)))
 
-    def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str | int, float]:
-        """Positive scores of every user that can make the top-k.
+    def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str, float]:
+        """Positive scores of every user that can make the top-k, keyed by user id.
 
-        Keys are user ids, or for a graph feature positions in its id-sorted ``users``.
         Each score is bit-identical to the definition in tests/oracles.py.
         ``directed`` is the larger of the two one-directional counts, so that
         it yields a neighbourhood like every other feature.
         """
         if spec.graph is None:
-            own = self.entity_sets(spec.entity_kind).get(target, frozenset())
-            index = self.entity_index(spec.entity_kind)
-            counts = Counter(chain.from_iterable(index[entity] for entity in own))
-            del counts[target]
-            n, shared, size = len(own), counts.items(), self._set_sizes(spec.entity_kind)
-        else:
-            graph = self.graph(spec.graph)
-            i = graph.index.get(target, -1)
-            own = graph.masks[i] if i >= 0 else 0
+            names, (holders, size) = self.users, self._content_index(spec.entity_kind)
+            own = self.entity_sets(spec.entity_kind)[target]
             if not own:
                 return {}
-            masks, n, size = graph.masks, graph.degrees[i], graph.degrees
-            if spec.feature == "directed":
-                count = self.directed_count
-                named = ((v, graph.users[v]) for v in set_bits(own))
-                return {v: float(max(count(target, u), count(u, target))) for v, u in named}
+            counts = np.bincount(np.concatenate([holders[e] for e in own]), minlength=len(names))
+            t, n = self._position[target], len(own)
+            counts[t] = 0
+            # under total every other user scores at least n, sharing or not
+            v = np.delete(np.arange(len(names)), t) if spec.feature == "total" else np.flatnonzero(counts)
+            c = counts[v]
+        else:
+            graph = self.graph(spec.graph)
+            names, t, size = graph.users, graph.index[target], graph.degrees
+            n = int(size[t])
+            if not n:
+                return {}
             if spec.feature == "pa":
                 ranked = (entry for entry in graph.by_degree if entry[0] != target)
-                return {graph.index[v]: float(n * d) for v, d in islice(ranked, k)}
+                return {v: float(n * d) for v, d in islice(ranked, k)}
+            if spec.feature == "directed":
+                count = self.directed_count
+                return {u: float(max(count(target, u), count(u, target)))
+                        for u in map(names.__getitem__, graph.neighbor_positions(t).tolist())}
             if spec.feature == "aa":
-                # z in ascending id order adds each pair's terms in the oracle's order; a
-                # neighbour of degree 1 links only to the target, and log(1) = 0
-                sums: dict[int, float] = {}
-                for z in set_bits(own):
-                    if size[z] > 1:
-                        weight = 1.0 / math.log(size[z])
-                        for v in set_bits(masks[z] ^ (1 << i)):
-                            sums[v] = sums.get(v, 0.0) + weight
-                return sums
+                # z ascending adds each pair's terms in the oracle's order, one += at a time;
+                # adding 0.0 leaves a non-member's sum as it was. Builtin sum() compensates float
+                # sums from Python 3.12, and np.log rounds some degrees unlike the oracle's
+                # math.log. A neighbour of degree 1 links only to the target, and log(1) = 0
+                near, sums = graph.neighbor_positions(t), np.zeros(len(names))
+                for z, d in zip(near.tolist(), size[near].tolist()):
+                    if d > 1:
+                        sums += graph.row_bits(z) * (1.0 / math.log(d))
+                sums[t] = 0.0
+                v = np.flatnonzero(sums)
+                return _cut(names, v, sums[v], k)
             # every user two hops away shares c >= 1 neighbours with the target
-            reach = 0
-            for z in set_bits(own):
-                reach |= masks[z]
-            shared = ((v, (own & masks[v]).bit_count()) for v in set_bits(reach ^ (1 << i)))
+            v, c = graph.shared_counts(t)
         if spec.feature in ("common", "cn"):
-            return {v: float(c) for v, c in shared}
-        if spec.feature == "jaccard":
-            return {v: c / (n + size[v] - c) for v, c in shared}
-        if spec.feature == "no":
-            return {v: c / (n + size[v]) for v, c in shared}
-        # total entities: unless the target has none, every other user scores. Walk users
-        # largest first; once n + size is below the k-th best score, no later user ties it
-        scores, best = {}, []
-        for v, m in self.by_size(spec.entity_kind) if n else ():
-            if len(best) == k and best[0] > n + m:
-                break
-            if v != target:
-                scores[v] = score = float(n + m - counts[v])
-                (heapq.heappushpop if len(best) == k else heapq.heappush)(best, score)
-        return scores
+            scores = c.astype(float)
+        elif spec.feature == "jaccard":
+            scores = c / (n + size[v] - c)
+        elif spec.feature == "no":
+            scores = c / (n + size[v])
+        else:
+            scores = (n + size[v] - c).astype(float)
+        return _cut(names, v, scores, k)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from marketrec.corpus import (
@@ -96,6 +98,80 @@ def test_malformed_rows(tmp_path, overrides, field):
         load_corpus(path)
     assert excinfo.value.field == field
     assert excinfo.value.line >= 1
+
+
+_BAD_ROWS = [
+    ("products", ("", "s1", "A"), "product_id"),
+    ("products", ("p9", "", "A"), "seller_id"),
+    ("products", ("p9", "s1"), "product_id"),
+    ("products", ("p9", "s1", "A||B"), "category_path"),
+    ("products", ("p9", "s1", "A|B|C|D|E"), "category_path"),
+    ("products", ("p9", "s1", "A|A"), "category_path"),
+    ("purchases", ("", "p1"), "buyer_id"),
+    ("purchases", ("u1", ""), "product_id"),
+    ("social", ("", "u2", "love"), "actor_id"),
+    ("social", ("u1", "", "love"), "target_id"),
+    ("social", ("u1", "u2", ""), "kind"),
+    ("social", ("u1", "u2", "hug"), "kind"),
+    ("social", ("u1", "u1", "love"), "target_id"),
+    ("groups", ("", "g1"), "user_id"),
+    ("groups", ("u1", ""), "group_id"),
+    ("interests", ("", "i1"), "user_id"),
+    ("interests", ("u1", ""), "interest_id"),
+    ("locations", ("", "l1", "favored", ""), "user_id"),
+    ("locations", ("u1", "", "favored", ""), "location_id"),
+    ("locations", ("u1", "l1", "", ""), "kind"),
+    ("locations", ("u1", "l1", "monitored", ""), "event_id"),
+    ("locations", ("u1", "l1", "shared", "e1"), "event_id"),
+]
+
+
+_GOOD_ROWS = {
+    "products": ("p1", "s1", "A"),
+    "purchases": ("u1", "p1"),
+    "social": ("u1", "u2", "love"),
+    "groups": ("u1", "g1"),
+    "interests": ("u1", "i1"),
+    "locations": ("u1", "l1", "monitored", "e1"),
+}
+
+
+@pytest.mark.parametrize("table, bad_row, field", _BAD_ROWS)
+def test_every_loader_error_names_file_line_and_field(tmp_path, table, bad_row, field):
+    path = _write(tmp_path, **{table: [_GOOD_ROWS[table], bad_row]})
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path)
+    error, file = excinfo.value, str(path / f"{table}.csv")
+    assert (error.file, error.line, error.field) == (file, 3, field)  # the header is line 1
+    assert str(error).startswith(f"{file}:3: field '{field}': ")
+
+
+def test_ids_are_one_object_across_tables(tmp_path):
+    """Fields are interned on load, so each repeat of an id shares one string."""
+    corpus = load_corpus(_write(tmp_path))
+    buyer = next(p.buyer for p in corpus.purchases if p.buyer == "u2")
+    actor = next(s.actor for s in corpus.social if s.actor == "u2")
+    attendee = next(r.user for r in corpus.locations if r.user == "u2")
+    assert buyer is actor is attendee
+    assert corpus.purchases[0].product is corpus.products["p1"].id
+    assert corpus.products["p1"].category_path[0] is corpus.products["p2"].category_path[0]
+
+
+def test_records_have_no_instance_dict(tmp_path):
+    corpus = load_corpus(_write(tmp_path))
+    tables = (corpus.purchases, corpus.social, corpus.memberships, corpus.interests, corpus.locations)
+    for record in (corpus.products["p1"], *(rows[0] for rows in tables)):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        corpus.purchases[0].buyer = "u9"
+
+
+def test_corpus_replace_shares_other_tables(tmp_path):
+    corpus = load_corpus(_write(tmp_path))
+    wider = dataclasses.replace(corpus, users=corpus.users | {"u9"})
+    assert wider.users == {"u1", "u2", "u9"}
+    assert wider.social is corpus.social and wider.products is corpus.products
+    assert entity_sets(wider, "groups")["u9"] == frozenset()
 
 
 def test_bad_header_rejected(tmp_path):

@@ -1,9 +1,11 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph, set_bits
+from marketrec.corpus import SocialInteraction
+from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 from helpers import make_corpus
 import oracles
@@ -130,14 +132,27 @@ def test_groups_link_every_two_members():
     assert graph.by_degree == [("b", 3), ("a", 1)]
 
 
-def test_set_bits_ascending():
-    assert set_bits(0) == []
-    assert set_bits(0b1011) == [0, 1, 3]
-    assert set_bits(1 << 5000 | 1 << 64 | 1) == [0, 64, 5000]
+def test_packed_row_layout():
+    """Bit i of row j (little-endian, byte i // 8) is set iff users[i] and users[j] share an edge."""
+    users = [f"u{i:03d}" for i in range(100)]
+    edges = [(users[i], users[j]) for i in range(70) for j in range(i + 1, 70) if (i * j) % 7 == 1]
+    graph = InteractionGraph(frozenset(users), edges, groups=[{"u010", "u020", "u080"}])
+    expected = oracles.adjacency_from_social(SocialInteraction(u, v, "love") for u, v in edges)
+    for member in ("u010", "u020", "u080"):
+        expected[member] |= {"u010", "u020", "u080"} - {member}
+    assert graph.users == users
+    assert graph.rows.dtype == np.uint8 and graph.rows.shape == (100, 16)
+    bits = np.unpackbits(graph.rows, axis=1, bitorder="little")
+    for j, user in enumerate(users):
+        assert {users[i] for i in np.flatnonzero(bits[j])} == expected.get(user, set())
+        assert not bits[j, j]
+        assert graph.neighbors(user) == expected.get(user, set())
+        assert graph.degree(user) == len(expected.get(user, ()))
+    assert not bits[:, len(users):].any()  # padding to whole 64-bit words
 
 
 def test_one_large_event_builds_in_bounded_memory():
-    """2,000 attendees among 3,000 users: about 2 M pairs, built from one mask per user."""
+    """2,000 attendees among 3,000 users: about 2 M pairs, built from one packed row per user."""
     users = [f"u{i:04d}" for i in range(3000)]
     rows = [(user, "l1", "monitored", "e1") for user in users[:2000]]
     corpus = make_corpus(locations=rows, extra_users=users)

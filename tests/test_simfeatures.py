@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from marketrec import graphs
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
@@ -117,6 +120,15 @@ def test_adamic_adar_skips_degree_one_shared_neighbour():
     context = SimilarityContext(make_corpus(social=[("u", "z", "love")], extra_users=("v",)))
     assert context.graph("social").degree("z") == 1
     assert similarity(context, "sn.graph.aa", "u", "v") == 0.0
+
+
+def test_adamic_adar_weights_come_from_math_log():
+    """Each term is ``1.0 / math.log(degree)``, the oracle's; numpy's log rounds 9170 differently."""
+    spokes = [f"s{i:04d}" for i in range(9170)]
+    context = graph_context([("hub", spoke) for spoke in spokes])
+    weight = 1.0 / math.log(9170)
+    assert weight != 1.0 / float(np.log(9170))  # so weights taken from np.log fail this test
+    assert context.k_nearest("sn.graph.aa", spokes[0], 1).scored == ((spokes[1], weight),)
 
 
 def test_neighborhood_overlap():
@@ -422,6 +434,50 @@ def test_k_nearest_matches_oracle_every_feature(small_corpus, feature_id):
     for target in users:
         got = context.k_nearest(feature_id, target, len(users)).scored
         assert got == oracle_knn(users, target, len(users), scorer), target
+
+
+def test_hub_member_in_bounded_memory():
+    """One event of 3,000 attendees among 3,000 users, so a member reaches every user.
+
+    No temporary may grow with the square of the users: 3,000 x 3,000 float64 is 72 MB.
+    Every two members share the other 2,998, each of degree 2,999, so all members tie and
+    the oracle's slice is the k lowest other ids with the oracle's score of one such pair.
+    Scoring every pair exhaustively takes the oracle about 10 s per target; the test below
+    does that on a smaller hub.
+    """
+    users = [f"u{i:04d}" for i in range(3000)]
+    corpus = make_corpus(locations=[(user, "l1", "monitored", "e1") for user in users])
+    targets, features = (users[0], users[1777]), ("loc.graph.aa", "loc.graph.no", "loc.graph.jaccard")
+    tracemalloc.start()
+    try:
+        context = SimilarityContext(corpus)
+        got = {(f, t): context.k_nearest(f, t).scored for f in features for t in targets}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    aa = 0.0
+    for _ in range(2998):  # the oracle's loop: one term per shared neighbour, in id order
+        aa += 1.0 / math.log(2999)
+    score = {"loc.graph.aa": aa, "loc.graph.no": 2998 / (2999 + 2999), "loc.graph.jaccard": 2998 / 3000}
+    for (feature, target), scored in got.items():
+        others = [user for user in users if user != target][:DEFAULT_K]
+        assert scored == tuple((user, score[feature]) for user in others)
+
+
+@pytest.mark.parametrize("feature_id", ["loc.graph.cn", "loc.graph.aa", "loc.graph.no", "loc.graph.jaccard"])
+def test_hub_members_match_oracle_across_row_slices(monkeypatch, feature_id):
+    """Two overlapping events, the larger of 300, read 4 rows at a time: every slice equals the oracle's."""
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", 4 * 56)
+    users = [f"u{i:03d}" for i in range(400)]
+    rows = [(user, "l1", "monitored", "e1") for user in users[:300]]
+    rows += [(user, "l2", "monitored", "e2") for user in users[250:350:3]]
+    corpus = make_corpus(locations=rows, extra_users=users)
+    context = SimilarityContext(corpus)
+    assert context.graph("colocation").rows.shape == (400, 56)
+    scorer = oracle_scorer(corpus, feature_id)
+    for target in (users[0], users[251], users[340], users[399]):
+        assert context.k_nearest(feature_id, target).scored == oracle_knn(users, target, DEFAULT_K, scorer)
 
 
 IDLE_USER = "zz-idle"
