@@ -35,7 +35,6 @@ from .simfeatures import (
     parse_feature_id,
 )
 from .recommender import (
-    HybridWeights,
     RecommendationList,
     cf_categories,
     cf_products,

@@ -20,10 +20,10 @@ from typing import Iterable, Mapping, Optional
 SOCIAL_KINDS = ("love", "comment", "wallpost")
 LOCATION_KINDS = ("favored", "shared", "monitored")
 
+# the entity kinds derived from purchase rows, so the only ones a train/test split changes
+PURCHASE_KINDS = ("purchases", "sellers", "categories")
 ENTITY_KINDS = (
-    "purchases",
-    "sellers",
-    "categories",
+    *PURCHASE_KINDS,
     "groups",
     "interests",
     "favored_locations",
@@ -202,7 +202,7 @@ def entity_sets(corpus: Corpus, kind: str) -> dict[str, frozenset[str]]:
     if kind not in ENTITY_KINDS:
         raise ValueError(f"unknown entity kind: {kind!r}")
     acc: dict[str, set[str]] = {user: set() for user in corpus.users}
-    if kind in ("purchases", "sellers", "categories"):
+    if kind in PURCHASE_KINDS:
         for purchase in corpus.purchases:
             product = corpus.products[purchase.product]
             if kind == "purchases":

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .corpus import Corpus, Product, with_purchases
+from .corpus import PURCHASE_KINDS, Corpus, Product, with_purchases
 from .recommender import (
     DEFAULT_N,
     TASK_LISTS,
-    HybridWeights,
     RecommendationList,
     cf_categories,
     cf_products,
@@ -100,8 +99,14 @@ def _withhold(purchases, seed: int, count: Callable[[str, int], int]) -> Split:
     return Split(training=training, test=test, eligible=frozenset(test), seed=seed)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def recall_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by the number of relevant items (0 if none)."""
+    _check_k(k)
     if not relevant:
         return 0.0
     hits = sum(1 for item in recommended[:k] if item in relevant)
@@ -110,8 +115,7 @@ def recall_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str],
 
 def precision_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by k, even when fewer items were produced."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     hits = sum(1 for item in recommended[:k] if item in relevant)
     return hits / k
 
@@ -122,6 +126,7 @@ def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k
     The ideal ranking places min(|relevant|, k) relevant items on top; returns
     0 when there are no relevant items.
     """
+    _check_k(k)
     dcg = 0.0
     for position, item in enumerate(recommended[:k], start=1):
         if item in relevant:
@@ -225,9 +230,10 @@ class EvalReport:
 class _Engine:
     """Caches slices, recommendation lists and relevant sets over one split's training data.
 
-    An engine over a split of ``outer``'s training data takes graph-feature
-    slices from ``outer``: they read only graphs and social rows, which no
-    split changes.
+    An engine over a split of ``outer``'s training data takes from ``outer``
+    every slice whose feature reads no entity kind of ``PURCHASE_KINDS``:
+    graph features and group, interest and location content features read
+    only rows that no split changes.
     """
 
     def __init__(self, corpus, split, knn_k, list_length, outer: Optional[_Engine] = None):
@@ -252,7 +258,7 @@ class _Engine:
         self._distances: dict[tuple[int, int], float] = {}
 
     def slice_for(self, feature_id, user):
-        if self.outer is not None and parse_feature_id(feature_id).graph:
+        if self.outer is not None and parse_feature_id(feature_id).entity_kind not in PURCHASE_KINDS:
             return self.outer.slice_for(feature_id, user)
         per_user = self._slices.setdefault(feature_id, {})
         if user not in per_user:
@@ -364,11 +370,7 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
         CurvePoint(name, k, acc(recall_sums[k]), acc(precision_sums[k]))
         for k in CURVE_KS
     ]
-    diagnostics = {
-        "served": served_task,
-        "served_products": served_products,
-        "short_product_lists": short_product_lists,
-    }
+    diagnostics = {"served": served_task, "short_product_lists": short_product_lists}
     return row, curves, diagnostics
 
 
@@ -450,8 +452,8 @@ def check_experiment(
     """Raise ValueError for any experiment setting run_experiment cannot honour.
 
     Unknown feature ids raise UnknownFeatureError, a ValueError. A hybrid
-    lists each component once; explicit weights name each component and
-    pass HybridWeights.
+    lists each component once; explicit weights name each component, are
+    finite and non-negative, and at least one is positive.
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {', '.join(TASKS)}, got {task!r}")
@@ -481,7 +483,10 @@ def check_experiment(
             if rec.weights is not None:
                 if set(rec.weights) != set(rec.components):
                     raise ValueError(f"hybrid {rec.name!r} needs one weight per component")
-                HybridWeights(rec.weights)
+                if not all(0 <= w < math.inf for w in rec.weights.values()):
+                    raise ValueError("hybrid weights must be finite and non-negative")
+                if not any(w > 0 for w in rec.weights.values()):
+                    raise ValueError("no informative component: no weight is positive")
 
 
 def _duplicates(ids: Sequence[str]) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping, Optional, Sequence
@@ -38,19 +37,6 @@ class RecommendationList:
 
     def item_ids(self) -> tuple[str, ...]:
         return tuple(item for item, _ in self.items)
-
-
-@dataclass(frozen=True)
-class HybridWeights:
-    """Per-component weights for the weighted-sum hybrid: finite, non-negative, one positive."""
-
-    weights: Mapping[str, float]
-
-    def __post_init__(self):
-        if not all(0 <= w < math.inf for w in self.weights.values()):
-            raise ValueError("hybrid weights must be finite and non-negative")
-        if not any(w > 0 for w in self.weights.values()):
-            raise ValueError("no informative component: no weight is positive")
 
 
 def popularity_counts(corpus: Corpus, kind: str) -> dict[str, int]:

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec.corpus import Product, entity_sets, with_purchases
+from marketrec.corpus import PURCHASE_KINDS, Product, entity_sets, with_purchases
 from marketrec.evalharness import (
     CURVE_KS,
     TASKS,
@@ -192,6 +192,13 @@ def test_precision_golden_values():
     assert precision_at_k(["r1", "r2"], relevant, 10) == pytest.approx(0.2, **APPROX)
     with pytest.raises(ValueError):
         precision_at_k(["r1"], relevant, 0)
+
+
+@pytest.mark.parametrize("metric", [recall_at_k, precision_at_k, ndcg_at_k])
+@pytest.mark.parametrize("k", [0, -1])
+def test_metrics_reject_k_below_one(metric, k):
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        metric(("a", "b", "c"), {"a", "c"}, k)
 
 
 def test_ndcg_golden_values():
@@ -445,26 +452,27 @@ def test_ndcg_only_weight_quality_equals_full_evaluation(planted_corpus):
             assert _harsh_ndcg(inner, component, task) == expected
 
 
-def test_weighting_engine_shares_graph_slices_only(medium_corpus):
+def test_weighting_engine_shares_split_independent_slices(medium_corpus):
     split = make_split(medium_corpus, seed=4)
     outer = _Engine(medium_corpus, split, DEFAULT_K, 10)
     inner_split = make_weighting_split(split, split.seed + 1)
     inner = _Engine(medium_corpus, inner_split, DEFAULT_K, 10, outer=outer)
     fresh = SimilarityContext(with_purchases(medium_corpus, inner_split.training))
-    graph_ids = [f for f in ALL_FEATURE_IDS if parse_feature_id(f).graph]
     users = sorted(medium_corpus.users)
-    for feature in (*graph_ids, "mp.purchases.jaccard"):
+    for feature in ALL_FEATURE_IDS:
         for user in users:
             outer.slice_for(feature, user)  # the outer engine holds its slices first
-    for feature in graph_ids:
-        for user in users:
-            assert inner.slice_for(feature, user) == fresh.k_nearest(feature, user, DEFAULT_K)
-            assert inner.slice_for(feature, user) is outer.slice_for(feature, user)
     differs = 0
-    for user in users:
-        expected = fresh.k_nearest("mp.purchases.jaccard", user, DEFAULT_K)
-        assert inner.slice_for("mp.purchases.jaccard", user) == expected
-        differs += expected != outer.slice_for("mp.purchases.jaccard", user)
+    for feature in ALL_FEATURE_IDS:
+        split_dependent = parse_feature_id(feature).entity_kind in PURCHASE_KINDS
+        assert split_dependent == feature.startswith("mp.")
+        for user in users:
+            inner_slice = inner.slice_for(feature, user)
+            assert inner_slice == fresh.k_nearest(feature, user, DEFAULT_K)
+            if split_dependent:
+                differs += inner_slice != outer.slice_for(feature, user)
+            else:
+                assert inner_slice is outer.slice_for(feature, user)
     assert differs > 0  # the inner hold-out changes purchase neighbourhoods
 
 

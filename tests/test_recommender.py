@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from marketrec.evalharness import HybridDef, check_experiment
 from marketrec.recommender import (
-    HybridWeights,
     RecommendationList,
     cf_candidate_scores,
     cf_categories,
@@ -321,32 +321,36 @@ def test_hybrid_missing_component_weight_means_zero():
     assert result.items == (("x", 1.0),)
 
 
+def _check_weights(weights):
+    hybrid = HybridDef("h", tuple(weights), weights=weights)
+    check_experiment([hybrid], "products", knn_k=40, list_length=10, averaging="harsh")
+
+
 def test_derive_hybrid_weights_passthrough():
-    weights = HybridWeights({"sn.graph.no": 0.1434, "mp.sellers.jaccard": 0.0158})
-    assert weights.weights == {"sn.graph.no": 0.1434, "mp.sellers.jaccard": 0.0158}
-    single = HybridWeights({"only": 0.5})
-    assert single.weights["only"] == 0.5
+    _check_weights({"sn.graph.no": 0.1434, "mp.sellers.jaccard": 0.0158})
+    _check_weights({"most_popular": 0.5})
 
 
 def test_derive_hybrid_weights_zero_component_excluded():
-    weights = HybridWeights({"good": 0.2, "useless": 0.0})
+    weights = {"sn.graph.no": 0.2, "mp.sellers.jaccard": 0.0}
+    _check_weights(weights)
     combined = weighted_sum_hybrid(
-        {"good": rec([("x", 1.0)]), "useless": rec([("y", 1.0)])}, weights.weights, 10
+        {"sn.graph.no": rec([("x", 1.0)]), "mp.sellers.jaccard": rec([("y", 1.0)])}, weights, 10
     )
     assert combined.item_ids() == ("x",)
 
 
 def test_derive_hybrid_weights_all_zero_is_an_error():
     with pytest.raises(ValueError, match="no informative component"):
-        HybridWeights({"a": 0.0, "b": 0.0})
-    with pytest.raises(ValueError):
-        HybridWeights({"a": -0.1, "b": 1.0})
+        _check_weights({"sn.graph.no": 0.0, "most_popular": 0.0})
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _check_weights({"sn.graph.no": -0.1, "most_popular": 1.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_hybrid_weights_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite and non-negative"):
-        HybridWeights({"a": bad, "b": 1.0})
+        _check_weights({"sn.graph.no": bad, "most_popular": 1.0})
 
 
 # --- ranking laws -----------------------------------------------------------
