@@ -163,8 +163,10 @@ def diversity_at_k(
 
     ``distance`` must be symmetric: each unordered pair is measured once and
     its value added for both orders, in ordered-pair sequence. Lists with
-    fewer than two items have no pairs and contribute 0.
+    fewer than two items have no pairs and contribute 0. ``k`` must be >= 0 or None.
     """
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0 or None, got {k}")
     items = list(recommended[:k]) if k is not None else list(recommended)
     m = len(items)
     if m < 2:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -94,12 +93,6 @@ class InteractionGraph:
 
     def degree(self, user: str) -> int:
         return int(self.degrees[self.index[user]]) if user in self.index else 0
-
-    @cached_property
-    def by_degree(self) -> list[tuple[str, int]]:
-        """Non-isolated vertices with their degree, highest degree first, ties by id."""
-        ranked = sorted((-self.degree(u), u) for u in self.vertices)
-        return [(u, -d) for d, u in ranked if d]
 
 
 def build_social_graph(corpus: Corpus) -> InteractionGraph:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice
 from typing import Mapping, Optional, TypeVar
 
 import numpy as np
@@ -107,20 +106,14 @@ def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, fl
 
     Only entries at or above the n-th best score (a sort of bare floats) are sorted as tuples.
     """
+    if n is not None and n < 0:
+        raise ValueError(f"n must be >= 0 or None, got {n}")
     cut = sorted(scores.values(), reverse=True)[n - 1] if n and n <= len(scores) else -math.inf
     entries = sorted([(-s, key) for key, s in scores.items() if s >= cut])
     return [(key, -s) for s, key in entries[:n]]
 
 
-def _cut(names: list[str], positions: np.ndarray, scores: np.ndarray, k: int) -> dict[str, float]:
-    """The entries scoring at or above the k-th best score, keyed by ``names[position]``.
-
-    Ties at the cut survive, so top_n alone decides among them.
-    """
-    if len(scores) > k:
-        keep = scores >= np.partition(scores, -k)[-k]
-        positions, scores = positions[keep], scores[keep]
-    return dict(zip(map(names.__getitem__, positions.tolist()), scores.tolist()))
+_NO_SCORES = (np.empty(0, np.intp), np.empty(0))
 
 
 class SimilarityContext:
@@ -184,51 +177,59 @@ class SimilarityContext:
             raise UnknownUserError(target)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return SimilarityMatrixSlice(target, tuple(top_n(self._scores(spec, target, k), k)))
+        positions, scores = self._scores(spec, self._position[target])
+        if len(scores) > k:
+            # scores tied with the k-th best survive; positions ascend, so the stable sort breaks ties by id
+            keep = scores >= np.partition(scores, -k)[-k]
+            positions, scores = positions[keep], scores[keep]
+        order = np.argsort(-scores, kind="stable")[:k]
+        names = map(self.users.__getitem__, positions[order].tolist())
+        return SimilarityMatrixSlice(target, tuple(zip(names, scores[order].tolist())))
 
-    def _scores(self, spec: FeatureSpec, target: str, k: int) -> dict[str, float]:
-        """Positive scores of every user that can make the top-k, keyed by user id.
+    def _scores(self, spec: FeatureSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions in ``users`` of the users scoring above 0 against ``users[t]``, and their scores.
 
         Each score is bit-identical to the definition in tests/oracles.py.
         ``directed`` is the larger of the two one-directional counts, so that
         it yields a neighbourhood like every other feature.
         """
         if spec.graph is None:
-            names, (holders, size) = self.users, self._content_index(spec.entity_kind)
-            own = self.entity_sets(spec.entity_kind)[target]
+            holders, size = self._content_index(spec.entity_kind)
+            own = self.entity_sets(spec.entity_kind)[self.users[t]]
             if not own:
-                return {}
-            counts = np.bincount(np.concatenate([holders[e] for e in own]), minlength=len(names))
-            t, n = self._position[target], len(own)
+                return _NO_SCORES
+            counts = np.bincount(np.concatenate([holders[e] for e in own]), minlength=len(self.users))
+            n = len(own)
             counts[t] = 0
             # under total every other user scores at least n, sharing or not
-            v = np.delete(np.arange(len(names)), t) if spec.feature == "total" else np.flatnonzero(counts)
+            v = np.delete(np.arange(len(counts)), t) if spec.feature == "total" else np.flatnonzero(counts)
             c = counts[v]
         else:
             graph = self.graph(spec.graph)
-            names, t, size = graph.users, graph.index[target], graph.degrees
+            size = graph.degrees
             n = int(size[t])
             if not n:
-                return {}
+                return _NO_SCORES
             if spec.feature == "pa":
-                ranked = (entry for entry in graph.by_degree if entry[0] != target)
-                return {v: float(n * d) for v, d in islice(ranked, k)}
+                v = np.flatnonzero(size)
+                v = v[v != t]
+                return v, (n * size[v]).astype(float)
             if spec.feature == "directed":
-                count = self.directed_count
-                return {u: float(max(count(target, u), count(u, target)))
-                        for u in map(names.__getitem__, graph.neighbor_positions(t).tolist())}
+                v, count, target = graph.neighbor_positions(t), self.directed_count, self.users[t]
+                return v, np.array([max(count(target, u), count(u, target))
+                                    for u in map(self.users.__getitem__, v.tolist())], float)
             if spec.feature == "aa":
                 # z ascending adds each pair's terms in the oracle's order, one += at a time;
                 # adding 0.0 leaves a non-member's sum as it was. Builtin sum() compensates float
                 # sums from Python 3.12, and np.log rounds some degrees unlike the oracle's
                 # math.log. A neighbour of degree 1 links only to the target, and log(1) = 0
-                near, sums = graph.neighbor_positions(t), np.zeros(len(names))
+                near, sums = graph.neighbor_positions(t), np.zeros(len(self.users))
                 for z, d in zip(near.tolist(), size[near].tolist()):
                     if d > 1:
                         sums += graph.row_bits(z) * (1.0 / math.log(d))
                 sums[t] = 0.0
                 v = np.flatnonzero(sums)
-                return _cut(names, v, sums[v], k)
+                return v, sums[v]
             # every user two hops away shares c >= 1 neighbours with the target
             v, c = graph.shared_counts(t)
         if spec.feature in ("common", "cn"):
@@ -239,4 +240,4 @@ class SimilarityContext:
             scores = c / (n + size[v])
         else:
             scores = (n + size[v] - c).astype(float)
-        return _cut(names, v, scores, k)
+        return v, scores

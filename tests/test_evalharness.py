@@ -250,6 +250,13 @@ def test_diversity_golden_values():
     assert diversity_at_k(["a", "b", "c"], dist, 2) == pytest.approx(0.5, **APPROX)
 
 
+@pytest.mark.parametrize("k", [-1, -2])
+def test_diversity_rejects_negative_k(k):
+    # a negative k would slice from the end: k=-1 measured ("a", "b") alone
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        diversity_at_k(("a", "b", "c"), lambda i, j: float(i != j), k)
+
+
 DIVERSITY_IDS = "abcdef"
 DIVERSITY_PAIRS = list(combinations_with_replacement(DIVERSITY_IDS, 2))
 

@@ -122,14 +122,12 @@ def test_edge_cases_outside_vertices():
     assert graph.neighbors("unknown") == frozenset()
     assert graph.degree("unknown") == 0
     assert graph.degree("c") == 0
-    assert graph.by_degree == [("a", 1), ("b", 1)]
 
 
 def test_groups_link_every_two_members():
     graph = InteractionGraph(frozenset({"a", "b"}), [("a", "b")], groups=[{"b", "c", "d"}, {"e"}])
     neighbours = {user: graph.neighbors(user) for user in "abcde"}
     assert neighbours == {"a": {"b"}, "b": {"a", "c", "d"}, "c": {"b", "d"}, "d": {"b", "c"}, "e": set()}
-    assert graph.by_degree == [("b", 3), ("a", 1)]
 
 
 def test_packed_row_layout():

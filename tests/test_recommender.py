@@ -15,7 +15,7 @@ from marketrec.recommender import (
     popularity_counts,
     weighted_sum_hybrid,
 )
-from marketrec.simfeatures import SimilarityContext, SimilarityMatrixSlice
+from marketrec.simfeatures import SimilarityContext, SimilarityMatrixSlice, top_n
 
 from helpers import make_corpus
 import oracles
@@ -129,6 +129,18 @@ def test_cf_products_empty_slice_gives_empty_list():
     result = cf_products(SimilarityMatrixSlice("t", ()), {}, 10)
     assert result.items == ()
     assert result.target == "t"
+
+
+def test_negative_list_length_is_rejected():
+    # a negative n would slice from the end: -1 kept one entry of three
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        top_n({"a": 3.0, "b": 2.0, "c": 1.0}, -1)
+    slice_ = SimilarityMatrixSlice("t", (("v1", 0.5), ("v2", 0.3)))
+    owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cf_products(slice_, owned, -1)
+    assert top_n({"a": 3.0}, 0) == [] and cf_products(slice_, owned, 0).items == ()
+    assert len(top_n({"a": 3.0, "b": 2.0, "c": 1.0}, None)) == 3
 
 
 def test_cf_products_matches_exhaustive_oracle(small_corpus):

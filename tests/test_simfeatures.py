@@ -233,7 +233,10 @@ GRAPH_FEATURE_IDS = tuple(f for f in ALL_FEATURE_IDS if parse_feature_id(f).grap
 
 @given(_events, _pairs)
 def test_graph_features_match_oracle_on_random_graphs(events, pairs):
-    """Overlapping events of mixed sizes and random pairs: every target, full k, exact ``==``."""
+    """Overlapping events of mixed sizes and random pairs: every target, truncated and full k, exact ``==``.
+
+    Few users and many ties exercise the cut at the k-th score and the tie order.
+    """
     locations = [(u, f"l{e}", "monitored", f"e{e}") for e, attendees in enumerate(events) for u in attendees]
     corpus = make_corpus(
         social=[(u, v, "love") for u, v in pairs],
@@ -242,11 +245,15 @@ def test_graph_features_match_oracle_on_random_graphs(events, pairs):
     )
     context = SimilarityContext(corpus)
     users = sorted(corpus.users)
+    # k_nearest indexes a graph's rows by the context's user positions
+    assert context.graph("social").users == context.users == context.graph("colocation").users
     for feature_id in GRAPH_FEATURE_IDS:
         scorer = oracle_scorer(corpus, feature_id)
         for target in users:
-            got = context.k_nearest(feature_id, target, len(users)).scored
-            assert got == oracle_knn(users, target, len(users), scorer), (feature_id, target)
+            expected = oracle_knn(users, target, len(users), scorer)
+            for k in sorted({1, len(expected) // 2 + 1, len(users)}):
+                got = context.k_nearest(feature_id, target, k).scored
+                assert got == expected[:k], (feature_id, target, k)
 
 
 # --- k-nearest neighbours -----------------------------------------------
