@@ -226,7 +226,7 @@ def entity_sets(corpus: Corpus, kind: str) -> dict[str, frozenset[str]]:
 
 
 def _read_rows(path: str | Path, table: str):
-    """Yield (file name, line number, row) for each data row, after checking the header.
+    """Yield (file name, first physical line, row) for each data row, after checking the header.
 
     Fields are interned: an id repeats across rows and tables, and each
     repeat then shares one string object.
@@ -247,7 +247,9 @@ def _read_rows(path: str | Path, table: str):
             raise MalformedRowError(
                 name, 1, expected[0], f"header must be {','.join(expected)}"
             )
-        for line, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            line, end = end + 1, reader.line_num
             if not row:
                 continue  # blank line
             if len(row) != len(expected):

@@ -134,7 +134,9 @@ def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k
     ideal = min(len(relevant), k)
     if ideal == 0:
         return 0.0
-    idcg = sum(1.0 / math.log2(1 + position) for position in range(1, ideal + 1))
+    idcg = 0.0
+    for position in range(1, ideal + 1):
+        idcg += 1.0 / math.log2(1 + position)
     return dcg / idcg
 
 

@@ -20,6 +20,21 @@ from .corpus import _HEADERS, CORPUS_FILES, SOCIAL_KINDS
 
 MANIFEST_NAME = "manifest.json"
 
+# Pool sizes per cluster and draw counts per user that every corpus shares.
+PRODUCTS_PER_CLUSTER = 30
+SELLERS_PER_CLUSTER = 3
+SOCIAL_PER_USER = 12
+EVENTS_PER_CLUSTER = 6
+MONITORED_PER_CLUSTER = 3
+# Tables each user fills with distinct noisy draws, in draw order:
+# (table, id prefix, pool size per cluster, draws per user, trailing fields).
+POOLED = (
+    ("groups", "g", 6, 4, ()),
+    ("interests", "i", 5, 3, ()),
+    ("locations", "fl", 6, 4, ("favored", "")),
+    ("locations", "sl", 4, 2, ("shared", "")),
+)
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -27,24 +42,8 @@ class SyntheticSpec:
     clusters: int = 5
     noise: float = 0.1
     seed: int = 0
-    # marketplace intensities
     purchases_per_user: int = 20
-    products_per_cluster: int = 30
-    sellers_per_cluster: int = 3
-    # social intensities
-    social_per_user: int = 12
-    groups_per_user: int = 4
-    groups_per_cluster: int = 6
-    interests_per_user: int = 3
-    interests_per_cluster: int = 5
-    # location intensities
-    favored_per_user: int = 4
-    favored_per_cluster: int = 6
-    shared_per_user: int = 2
-    shared_per_cluster: int = 4
     events_per_user: int = 4
-    events_per_cluster: int = 6
-    monitored_locations_per_cluster: int = 3
 
     def validate(self) -> None:
         if not 0.0 <= self.noise <= 1.0:
@@ -59,6 +58,11 @@ class SyntheticSpec:
             )
 
 
+def _pools(prefix: str, size: int, clusters: int) -> list[list[str]]:
+    """Per-cluster id lists: cluster c owns the ids numbered c * size to c * size + size - 1."""
+    return [[f"{prefix}{c * size + j:03d}" for j in range(size)] for c in range(clusters)]
+
+
 def generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     """Write the six corpus files and manifest.json; returns the manifest.
 
@@ -69,6 +73,7 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     rng = random.Random(spec.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tables = {table: [] for table in CORPUS_FILES}
 
     users = [f"u{i:04d}" for i in range(spec.users)]
     user_cluster = {user: i % spec.clusters for i, user in enumerate(users)}
@@ -84,13 +89,12 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
     mid_cats = [[f"m{c * 2 + j:03d}" for j in range(2)] for c in range(spec.clusters)]
     low_cats = [[f"c{c * 4 + j:03d}" for j in range(4)] for c in range(spec.clusters)]
 
-    product_rows = []
+    sellers = _pools("s", SELLERS_PER_CLUSTER, spec.clusters)
     product_cluster = {}
     cluster_products = [[] for _ in range(spec.clusters)]
-    index = 0
     for c in range(spec.clusters):
-        sellers = [f"s{c * spec.sellers_per_cluster + j:03d}" for j in range(spec.sellers_per_cluster)]
-        for _ in range(spec.products_per_cluster):
+        for j in range(PRODUCTS_PER_CLUSTER):
+            index = c * PRODUCTS_PER_CLUSTER + j
             product = f"p{index:04d}"
             if index % 10 == 9:
                 path = []  # ~10% of products stay uncategorized
@@ -102,10 +106,9 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
                 elif depth == 4:
                     path.extend(mid_cats[c])
                 path.append(rng.choice(low_cats[c]))
-            product_rows.append([product, rng.choice(sellers), "|".join(path)])
+            tables["products"].append([product, rng.choice(sellers[c]), "|".join(path)])
             product_cluster[product] = c
             cluster_products[c].append(product)
-            index += 1
 
     def pick_cluster(own: int) -> int:
         if spec.clusters > 1 and rng.random() < spec.noise:
@@ -113,68 +116,41 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> dict:
             return other if other < own else other + 1
         return own
 
-    def noisy_sample(own_pool, other_pools, count):
-        """Distinct draws, each independently redirected to foreign pools by noise."""
+    def noisy_sample(pools, own, count):
+        """Distinct draws from pools[own], each independently redirected to the other pools by noise."""
         foreign = sum(1 for _ in range(count) if spec.clusters > 1 and rng.random() < spec.noise)
-        picked = rng.sample(own_pool, min(count - foreign, len(own_pool)))
-        if foreign and other_pools:
-            picked += rng.sample(other_pools, min(foreign, len(other_pools)))
+        picked = rng.sample(pools[own], min(count - foreign, len(pools[own])))
+        if foreign:
+            others = [entity for c, pool in enumerate(pools) if c != own for entity in pool]
+            picked += rng.sample(others, min(foreign, len(others)))
         return picked
 
-    purchase_rows = []
-    social_rows = []
-    group_rows = []
-    interest_rows = []
-    location_rows = []
-
-    groups = [[f"g{c * spec.groups_per_cluster + j:03d}" for j in range(spec.groups_per_cluster)] for c in range(spec.clusters)]
-    interests = [[f"i{c * spec.interests_per_cluster + j:03d}" for j in range(spec.interests_per_cluster)] for c in range(spec.clusters)]
-    favored = [[f"fl{c * spec.favored_per_cluster + j:03d}" for j in range(spec.favored_per_cluster)] for c in range(spec.clusters)]
-    shared = [[f"sl{c * spec.shared_per_cluster + j:03d}" for j in range(spec.shared_per_cluster)] for c in range(spec.clusters)]
-    monitored = [[f"ml{c * spec.monitored_locations_per_cluster + j:03d}" for j in range(spec.monitored_locations_per_cluster)] for c in range(spec.clusters)]
+    pools = {prefix: _pools(prefix, size, spec.clusters) for _, prefix, size, _, _ in POOLED}
+    monitored = _pools("ml", MONITORED_PER_CLUSTER, spec.clusters)
     # events are scheduled per cluster at one of its monitored locations
     events = []
-    event_index = 0
     for c in range(spec.clusters):
         cluster_events = []
-        for _ in range(spec.events_per_cluster):
-            cluster_events.append((f"e{event_index:04d}", rng.choice(monitored[c])))
-            event_index += 1
+        for j in range(EVENTS_PER_CLUSTER):
+            cluster_events.append((f"e{c * EVENTS_PER_CLUSTER + j:04d}", rng.choice(monitored[c])))
         events.append(cluster_events)
 
     for user in users:
         own = user_cluster[user]
         for _ in range(spec.purchases_per_user):
-            purchase_rows.append([user, rng.choice(cluster_products[pick_cluster(own)])])
-        for _ in range(spec.social_per_user):
+            tables["purchases"].append([user, rng.choice(cluster_products[pick_cluster(own)])])
+        for _ in range(SOCIAL_PER_USER):
             pool = [u for u in members[pick_cluster(own)] if u != user]
             if not pool:
                 continue
-            social_rows.append([user, rng.choice(pool), rng.choice(SOCIAL_KINDS)])
-        other_groups = [g for c in range(spec.clusters) if c != own for g in groups[c]]
-        for group in noisy_sample(groups[own], other_groups, spec.groups_per_user):
-            group_rows.append([user, group])
-        other_interests = [i for c in range(spec.clusters) if c != own for i in interests[c]]
-        for interest in noisy_sample(interests[own], other_interests, spec.interests_per_user):
-            interest_rows.append([user, interest])
-        other_favored = [f for c in range(spec.clusters) if c != own for f in favored[c]]
-        for location in noisy_sample(favored[own], other_favored, spec.favored_per_user):
-            location_rows.append([user, location, "favored", ""])
-        other_shared = [s for c in range(spec.clusters) if c != own for s in shared[c]]
-        for location in noisy_sample(shared[own], other_shared, spec.shared_per_user):
-            location_rows.append([user, location, "shared", ""])
+            tables["social"].append([user, rng.choice(pool), rng.choice(SOCIAL_KINDS)])
+        for table, prefix, _, count, trailing in POOLED:
+            for entity in noisy_sample(pools[prefix], own, count):
+                tables[table].append([user, entity, *trailing])
         for _ in range(spec.events_per_user):
             event_id, location = rng.choice(events[pick_cluster(own)])
-            location_rows.append([user, location, "monitored", event_id])
+            tables["locations"].append([user, location, "monitored", event_id])
 
-    tables = {
-        "products": product_rows,
-        "purchases": purchase_rows,
-        "social": social_rows,
-        "groups": group_rows,
-        "interests": interest_rows,
-        "locations": location_rows,
-    }
     for table, rows in tables.items():
         with open(out / CORPUS_FILES[table], "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")

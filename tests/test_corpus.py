@@ -146,6 +146,14 @@ def test_every_loader_error_names_file_line_and_field(tmp_path, table, bad_row, 
     assert str(error).startswith(f"{file}:3: field '{field}': ")
 
 
+def test_loader_error_names_the_physical_line(tmp_path):
+    # The first record spans lines 2-3 through a quoted id, so the bad row starts on line 4.
+    path = _write(tmp_path, products=[('"p\n1"', "s1", "A"), ("p9", "s1", "A||B")])
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path)
+    assert (excinfo.value.line, excinfo.value.field) == (4, "category_path")
+
+
 def test_ids_are_one_object_across_tables(tmp_path):
     """Fields are interned on load, so each repeat of an id shares one string."""
     corpus = load_corpus(_write(tmp_path))

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
+from marketrec import evalharness
 from marketrec.corpus import PURCHASE_KINDS, Product, entity_sets, with_purchases
 from marketrec.evalharness import (
     CURVE_KS,
@@ -211,6 +212,27 @@ def test_ndcg_golden_values():
     rel = {"r1", "r3", "r7", "r11", "r12"}
     assert ndcg_at_k(rec, rel, 10) == pytest.approx(0.6217937096682962, **APPROX)
     assert ndcg_at_k(["x", "r1", "r2"], {"r1", "r2"}, 3) == pytest.approx(0.6934264036172708, **APPROX)
+
+
+def _neumaier_sum(values):
+    """Compensated float sum: the algorithm builtin sum uses from Python 3.12 on."""
+    total = compensation = 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_perfect_ndcg_is_one_under_compensated_sum(monkeypatch, length):
+    # The result must not depend on how the running Python's builtin sum rounds.
+    monkeypatch.setattr(evalharness, "sum", _neumaier_sum, raising=False)
+    items = [f"r{i}" for i in range(length)]
+    assert ndcg_at_k(items, set(items), 10) == 1.0
 
 
 def test_ndcg_is_one_iff_top_positions_relevant():
