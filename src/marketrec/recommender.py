@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .corpus import Corpus, low_level_category, top_level_category
-from .simfeatures import SimilarityMatrixSlice, top_n
+from .simfeatures import EntitySets, SimilarityMatrixSlice, best_first, top_n
 
 # task -> (list kind, category extractor); product lists extract no category
 TASK_LISTS = {
@@ -17,6 +19,7 @@ TASK_LISTS = {
 }
 _EXTRACTOR_BY_KIND = dict(TASK_LISTS.values())
 DEFAULT_N = 10
+_NO_PRODUCTS = np.empty(0, np.int32)
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,22 @@ def most_popular(
     return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))
 
 
+def _cf_sums(slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozenset[str]]):
+    """Sorted product ids, the neighbours' positions in them in slice order, and each position's CF sum.
+
+    ``np.bincount`` adds each sum in input order, slice order, so it is bit-identical to tests/oracles.py.
+    The target's products read 0, as non-candidates do: slice similarities are positive.
+    """
+    sets = purchase_sets if isinstance(purchase_sets, EntitySets) else EntitySets(purchase_sets)
+    products, held = sets.positions
+    arrays = [held.get(neighbor, _NO_PRODUCTS) for neighbor, _ in slice_.scored]
+    weights = np.array([sim for _, sim in slice_.scored]).repeat(list(map(len, arrays)))
+    flat = np.concatenate([_NO_PRODUCTS, *arrays])
+    sums = np.bincount(flat, weights, len(products))
+    sums[held.get(slice_.target, _NO_PRODUCTS)] = 0.0
+    return products, flat, sums
+
+
 def cf_candidate_scores(
     slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozenset[str]]
 ) -> dict[str, float]:
@@ -88,14 +107,8 @@ def cf_candidate_scores(
     The score of an item is the sum of the similarities of the neighbours
     that own it, added in slice order. Returns the full (untruncated) candidate pool.
     """
-    scores: dict[str, float] = {}
-    get = scores.get
-    for neighbor, sim in slice_.scored:
-        for item in purchase_sets.get(neighbor, ()):
-            scores[item] = get(item, 0.0) + sim
-    for item in purchase_sets.get(slice_.target, ()):
-        scores.pop(item, None)
-    return scores
+    products, flat, sums = _cf_sums(slice_, purchase_sets)
+    return {products[p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
 
 
 def cf_products(
@@ -108,8 +121,11 @@ def cf_products(
     An empty slice yields an empty list, signalling that no recommendation
     was possible for this target.
     """
-    scores = cf_candidate_scores(slice_, purchase_sets)
-    return RecommendationList(target=slice_.target, kind="product", items=tuple(top_n(scores, n)))
+    products, _, sums = _cf_sums(slice_, purchase_sets)
+    candidates = sums.nonzero()[0]  # ascending positions, so ties break by ascending id
+    positions, scores = best_first(candidates, sums[candidates], n)
+    names = map(products.__getitem__, positions.tolist())
+    return RecommendationList(target=slice_.target, kind="product", items=tuple(zip(names, scores.tolist())))
 
 
 def cf_categories(

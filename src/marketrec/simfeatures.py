@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, TypeVar
 
 import numpy as np
@@ -113,6 +114,29 @@ def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, fl
     return [(key, -s) for s, key in entries[:n]]
 
 
+def best_first(positions: np.ndarray, scores: np.ndarray, n: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` best ascending ``positions`` by descending score, ties by position; all if None."""
+    if n is not None and n < 0:
+        raise ValueError(f"n must be >= 0 or None, got {n}")
+    if n and len(scores) > n:
+        # scores tied with the n-th best survive; positions ascend, so the stable sort breaks ties by position
+        keep = (scores >= np.partition(scores, -n)[-n]).nonzero()[0]
+        positions, scores = positions[keep], scores[keep]
+    order = (-scores).argsort(kind="stable")[:n]
+    return positions[order], scores[order]
+
+
+class EntitySets(dict):
+    """User -> entity set, as ``corpus.entity_sets`` maps them; the sets must not change."""
+
+    @cached_property
+    def positions(self) -> tuple[list[str], dict[str, np.ndarray]]:
+        """Sorted entity ids and each user's entities as int32 positions in them, in set order."""
+        ids = sorted(set().union(*self.values()))
+        at = {entity: i for i, entity in enumerate(ids)}.__getitem__
+        return ids, {user: np.fromiter(map(at, s), np.int32, len(s)) for user, s in self.items()}
+
+
 _NO_SCORES = (np.empty(0, np.intp), np.empty(0))
 
 
@@ -130,7 +154,7 @@ class SimilarityContext:
         self.users = sorted(corpus.users)
         self._position = {user: i for i, user in enumerate(self.users)}
         self._graphs: dict[str, InteractionGraph] = {}
-        self._entity_sets: dict[str, dict[str, frozenset[str]]] = {}
+        self._entity_sets: dict[str, EntitySets] = {}
         self._content: dict[str, tuple[dict[str, np.ndarray], np.ndarray]] = {}
         self._directed: dict[tuple[str, str], int] | None = None
 
@@ -144,9 +168,9 @@ class SimilarityContext:
                 raise ValueError(f"unknown graph: {name!r}")
         return self._graphs[name]
 
-    def entity_sets(self, kind: str) -> dict[str, frozenset[str]]:
+    def entity_sets(self, kind: str) -> EntitySets:
         if kind not in self._entity_sets:
-            self._entity_sets[kind] = entity_sets(self.corpus, kind)
+            self._entity_sets[kind] = EntitySets(entity_sets(self.corpus, kind))
         return self._entity_sets[kind]
 
     def _content_index(self, kind: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -177,14 +201,9 @@ class SimilarityContext:
             raise UnknownUserError(target)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        positions, scores = self._scores(spec, self._position[target])
-        if len(scores) > k:
-            # scores tied with the k-th best survive; positions ascend, so the stable sort breaks ties by id
-            keep = scores >= np.partition(scores, -k)[-k]
-            positions, scores = positions[keep], scores[keep]
-        order = np.argsort(-scores, kind="stable")[:k]
-        names = map(self.users.__getitem__, positions[order].tolist())
-        return SimilarityMatrixSlice(target, tuple(zip(names, scores[order].tolist())))
+        positions, scores = best_first(*self._scores(spec, self._position[target]), k)
+        names = map(self.users.__getitem__, positions.tolist())
+        return SimilarityMatrixSlice(target, tuple(zip(names, scores.tolist())))
 
     def _scores(self, spec: FeatureSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in ``users`` of the users scoring above 0 against ``users[t]``, and their scores.

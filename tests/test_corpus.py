@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from marketrec.corpus import (
+    ENTITY_KINDS,
     CorpusError,
     DanglingReferenceError,
     DuplicateProductError,
@@ -14,6 +15,7 @@ from marketrec.corpus import (
     top_level_category,
     with_purchases,
 )
+from marketrec.simfeatures import SimilarityContext
 
 from helpers import write_corpus_files
 
@@ -268,6 +270,9 @@ def test_load_is_deterministic(tmp_path):
     assert first.products == second.products
     for kind in ("purchases", "sellers", "categories", "groups"):
         assert entity_sets(first, kind) == entity_sets(second, kind)
+    context = SimilarityContext(first)
+    for kind in ENTITY_KINDS:  # the context's mappings hold the same sets
+        assert context.entity_sets(kind) == entity_sets(first, kind)
 
 
 def test_with_purchases_keeps_universe(tmp_path):

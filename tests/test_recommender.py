@@ -268,6 +268,37 @@ def test_cf_candidate_scores_matches_oracle(owned, neighbours):
     assert scores.keys().isdisjoint(target_owned)
 
 
+@given(
+    # the target ("t") or a neighbour may have no purchase set at all, or an empty one
+    owned=st.dictionaries(st.sampled_from("tabcde"), st.frozensets(st.sampled_from(CF_PRODUCTS))),
+    neighbours=st.lists(
+        st.tuples(st.sampled_from("abcde"), st.sampled_from([0.1, 0.2, 0.3, 0.6])),
+        unique_by=lambda e: e[0],
+    ),
+    length=st.sampled_from(["zero", "one", "pool", "past", "all"]),
+    from_context=st.booleans(),
+)
+@example(  # "e" and the target are absent, "c" owns nothing; 0.3 + 0.2 + 0.1 ties 0.6 exactly
+    owned={"a": frozenset({"p0"}), "b": frozenset({"p1"}), "c": frozenset(), "d": frozenset({"p1"})},
+    neighbours=[("a", 0.6), ("e", 0.6), ("b", 0.3), ("c", 0.2), ("d", 0.2)],
+    length="pool", from_context=True,
+)
+def test_cf_products_matches_oracle_ranking(owned, neighbours, length, from_context):
+    slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
+    pool = oracles.cf_product_scores(slice_.scored, owned, owned.get("t", frozenset()))
+    n = {"zero": 0, "one": 1, "pool": len(pool), "past": len(pool) + 3, "all": None}[length]
+    purchase_sets = owned
+    if from_context:
+        corpus = make_corpus(
+            products=[(pid, "s", ()) for pid in CF_PRODUCTS],
+            purchases=[(user, item) for user, items in owned.items() for item in items],
+            extra_users=tuple(owned),
+        )
+        purchase_sets = SimilarityContext(corpus).entity_sets("purchases")
+        assert purchase_sets == owned
+    assert list(cf_products(slice_, purchase_sets, n).items) == oracles.ranked(pool, n)
+
+
 def test_cf_category_scores_sum_to_one(small_corpus):
     context = SimilarityContext(small_corpus)
     purchase_sets = context.entity_sets("purchases")
