@@ -23,6 +23,7 @@ from .recommender import (
     RecommendationList,
     cf_categories,
     cf_products,
+    list_items,
     most_popular,
     normalize_scores,
     popularity_counts,  # unused here, but perfbench/tracer.py patches it under this name
@@ -275,7 +276,7 @@ class _Engine:
         A hybrid must carry its weights. Its list is combined on every request
         and never cached, so a hybrid cannot shadow a component of the same name.
         """
-        kind = TASK_LISTS[task][0]
+        kind = TASK_LISTS[task]
         if isinstance(rec, HybridDef):
             lists = {c: normalize_scores(self.task_list(c, task, user)) for c in rec.components}
             return weighted_sum_hybrid(lists, rec.weights, self.n, target=user, kind=kind)
@@ -299,11 +300,7 @@ class _Engine:
     def relevant(self, task, user) -> frozenset[str]:
         key = (task, user)
         if key not in self._relevant:
-            relevant = self.split.test[user]
-            _, extract = TASK_LISTS[task]
-            if extract is not None:
-                relevant = frozenset(extract(self.corpus.products[p]) for p in relevant) - {None}
-            self._relevant[key] = relevant
+            self._relevant[key] = frozenset(list_items(self.corpus, TASK_LISTS[task], self.split.test[user]))
         return self._relevant[key]
 
     def item_distance(self, a: str, b: str) -> float:

@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, low_level_category, top_level_category
-from .simfeatures import EntitySets, SimilarityMatrixSlice, best_first, top_n
+from .simfeatures import EntitySets, SimilarityMatrixSlice, best_first, check_length, top_n
 
-# task -> (list kind, category extractor); product lists extract no category
-TASK_LISTS = {
-    "products": ("product", None),
-    "low_categories": ("low_category", low_level_category),
-    "top_categories": ("top_category", top_level_category),
-}
-_EXTRACTOR_BY_KIND = dict(TASK_LISTS.values())
+TASK_LISTS = {"products": "product", "low_categories": "low_category", "top_categories": "top_category"}
+_EXTRACTOR_BY_KIND = {"product": None, "low_category": low_level_category, "top_category": top_level_category}
 DEFAULT_N = 10
 _NO_PRODUCTS = np.empty(0, np.int32)
 
@@ -42,22 +38,23 @@ class RecommendationList:
         return tuple(item for item, _ in self.items)
 
 
-def popularity_counts(corpus: Corpus, kind: str) -> dict[str, int]:
-    """Purchase-frequency counts per item for one list kind.
+def list_items(corpus: Corpus, kind: str, products: Iterable[str]) -> Iterable[str]:
+    """The items of list kind ``kind`` that ``products`` stand for, in input order.
 
-    Products are counted per purchase row (repeat purchases count multiply).
-    For category kinds, each row contributes the top- or low-level category
-    of its product; uncategorized products contribute nothing.
+    Product lists take the ids as given, repeats included. Category kinds take
+    each product's top- or low-level category and skip uncategorized products.
     """
     if kind not in _EXTRACTOR_BY_KIND:
         raise ValueError(f"unknown list kind: {kind!r}")
     extract = _EXTRACTOR_BY_KIND[kind]
-    counts: dict[str, int] = {}
-    for purchase in corpus.purchases:
-        key = purchase.product if extract is None else extract(corpus.products[purchase.product])
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    if extract is None:
+        return products
+    return [c for c in map(extract, map(corpus.products.__getitem__, products)) if c is not None]
+
+
+def popularity_counts(corpus: Corpus, kind: str) -> dict[str, int]:
+    """Purchase-frequency counts per ``list_items`` item, one per purchase row (repeats count multiply)."""
+    return dict(Counter(list_items(corpus, kind, (purchase.product for purchase in corpus.purchases))))
 
 
 def most_popular(
@@ -75,9 +72,11 @@ def most_popular(
     so callers serving many users rank once; each list then walks it, skipping
     owned products, until it has ``n`` items. Without one it is ranked here.
     """
+    check_length(n)
+    if kind not in _EXTRACTOR_BY_KIND:
+        raise ValueError(f"unknown list kind: {kind!r}")
     if ranking is None:
-        counts = popularity_counts(corpus, kind)
-        ranking = top_n({item: float(c) for item, c in counts.items()}, None)
+        ranking = top_n({item: float(c) for item, c in popularity_counts(corpus, kind).items()}, None)
     if kind == "product":
         ranking = (entry for entry in ranking if entry[0] not in owned)
     return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))
@@ -139,23 +138,16 @@ def cf_categories(
 
     The pool is every product a neighbour owns and the target does not, the
     keys of ``cf_candidate_scores``; shares need no similarity sums. Each
-    candidate product contributes its category of ``kind`` ("top_category"
-    or "low_category") once; a category's score is its share of all
-    extracted category occurrences. Products without categories are skipped.
+    candidate product contributes its ``list_items`` category of ``kind``
+    ("top_category" or "low_category") once; a category's score is its share
+    of all the pool's category occurrences.
     """
-    extract = _EXTRACTOR_BY_KIND.get(kind)
-    if extract is None:
+    if _EXTRACTOR_BY_KIND.get(kind) is None:
         raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
     owned = purchase_sets.get(slice_.target, frozenset())
     pool = frozenset().union(*(purchase_sets.get(v, ()) for v, _ in slice_.scored)) - owned
-    counts: dict[str, int] = {}
-    total = 0
-    for item in pool:
-        category = extract(corpus.products[item])
-        if category is None:
-            continue
-        counts[category] = counts.get(category, 0) + 1
-        total += 1
+    counts = Counter(list_items(corpus, kind, pool))
+    total = sum(counts.values())
     scores = {category: count / total for category, count in counts.items()}
     return RecommendationList(target=slice_.target, kind=kind, items=tuple(top_n(scores, n)))
 

@@ -102,13 +102,18 @@ class SimilarityMatrixSlice:
         return tuple(user for user, _ in self.scored)
 
 
+def check_length(n: Optional[int]) -> None:
+    """Reject a negative list length, which would otherwise slice from the end."""
+    if n is not None and n < 0:
+        raise ValueError(f"n must be >= 0 or None, got {n}")
+
+
 def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, float]]:
     """The ``n`` best (key, score) pairs by descending score, ties by ascending key; all if None.
 
     Only entries at or above the n-th best score (a sort of bare floats) are sorted as tuples.
     """
-    if n is not None and n < 0:
-        raise ValueError(f"n must be >= 0 or None, got {n}")
+    check_length(n)
     cut = sorted(scores.values(), reverse=True)[n - 1] if n and n <= len(scores) else -math.inf
     entries = sorted([(-s, key) for key, s in scores.items() if s >= cut])
     return [(key, -s) for s, key in entries[:n]]
@@ -116,8 +121,7 @@ def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, fl
 
 def best_first(positions: np.ndarray, scores: np.ndarray, n: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """The ``n`` best ascending ``positions`` by descending score, ties by position; all if None."""
-    if n is not None and n < 0:
-        raise ValueError(f"n must be >= 0 or None, got {n}")
+    check_length(n)
     if n and len(scores) > n:
         # scores tied with the n-th best survive; positions ascend, so the stable sort breaks ties by position
         keep = (scores >= np.partition(scores, -n)[-n]).nonzero()[0]

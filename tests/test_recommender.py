@@ -4,12 +4,14 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from marketrec.corpus import low_level_category, top_level_category
 from marketrec.evalharness import HybridDef, check_experiment
 from marketrec.recommender import (
     RecommendationList,
     cf_candidate_scores,
     cf_categories,
     cf_products,
+    list_items,
     most_popular,
     normalize_scores,
     popularity_counts,
@@ -60,6 +62,14 @@ def test_most_popular_category_counts_match_recount(small_corpus):
         assert list(top.items) == oracles.ranked({c: float(n) for c, n in counts.items()}, 5)
 
 
+def test_most_popular_rejects_unknown_kind_with_or_without_ranking():
+    corpus = make_corpus(products=[("p1", "s", ())], purchases=[("a", "p1")])
+    with pytest.raises(ValueError, match="unknown list kind: 'bogus'"):
+        most_popular(corpus, "bogus", 3)
+    with pytest.raises(ValueError, match="unknown list kind: 'bogus'"):
+        most_popular(corpus, "bogus", 3, ranking=[("p1", 2.0)])
+
+
 def test_most_popular_tie_break():
     corpus = make_corpus(
         products=[("pb", "s", ()), ("pa", "s", ())],
@@ -107,6 +117,20 @@ def test_most_popular_precomputed_ranking_matches_ranking_per_call(purchases, ow
     assert list(per_call.items) == oracles.ranked(pool, n)
 
 
+def test_list_items_maps_products_to_the_items_of_each_kind():
+    paths = {**POPULAR_PATHS, "p8": ("",)}  # an empty category id is still a category
+    corpus = make_corpus(products=[(pid, "s", path) for pid, path in paths.items()])
+    products = ["p5", "p1", "p3", "p1", "p7", "p8", "p4", "p0"]  # p5 and p7 are uncategorized
+    assert list(list_items(corpus, "product", products)) == products
+    for kind, extract in (("top_category", top_level_category), ("low_category", low_level_category)):
+        by_hand = [extract(corpus.products[pid]) for pid in products]
+        assert list(list_items(corpus, kind, products)) == [c for c in by_hand if c is not None]
+    assert list(list_items(corpus, "top_category", products)) == ["A", "B", "A", "", "B", "A"]
+    assert list(list_items(corpus, "low_category", products)) == ["A2", "B1", "A2", "", "B", "A1"]
+    with pytest.raises(ValueError, match="unknown list kind: 'products'"):
+        list_items(corpus, "products", products)
+
+
 # --- user-based CF --------------------------------------------------------
 
 
@@ -139,7 +163,20 @@ def test_negative_list_length_is_rejected():
     owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}
     with pytest.raises(ValueError, match="n must be >= 0"):
         cf_products(slice_, owned, -1)
+    corpus = make_corpus(
+        products=[("p1", "s", ("A",)), ("p2", "s", ("B",)), ("p3", "s", ("C",))],
+        purchases=[("v1", "p1"), ("v1", "p2"), ("v2", "p3")],
+    )
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        most_popular(corpus, "product", -1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        most_popular(corpus, "top_category", -1, ranking=most_popular(corpus, "top_category", None).items)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cf_categories(slice_, corpus, owned, "top_category", -1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        weighted_sum_hybrid({"a": rec([("p1", 1.0), ("p2", 0.5)])}, {"a": 1.0}, -1)
     assert top_n({"a": 3.0}, 0) == [] and cf_products(slice_, owned, 0).items == ()
+    assert most_popular(corpus, "product", 0).items == ()
     assert len(top_n({"a": 3.0, "b": 2.0, "c": 1.0}, None)) == 3
 
 
