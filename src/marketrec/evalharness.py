@@ -13,8 +13,9 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Mapping, Optional, Sequence, TypeVar, Union
 
 from .corpus import PURCHASE_KINDS, Corpus, Product, with_purchases
 from .recommender import (
@@ -37,7 +38,7 @@ MOST_POPULAR_ID = "most_popular"
 HOLDOUT_SIZE = 10
 CURVE_KS = tuple(range(1, 11))
 
-ItemDistance = Callable[[str, str], float]
+_Item = TypeVar("_Item")
 
 
 @dataclass(frozen=True)
@@ -100,38 +101,37 @@ def _withhold(purchases, seed: int, count: Callable[[str, int], int]) -> Split:
     return Split(training=training, test=test, eligible=frozenset(test), seed=seed)
 
 
-def _check_k(k: int) -> None:
+def _hits(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> Collection[int]:
+    """Ascending positions 1..k of the relevant items in the top k; a repeated item hits once, first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    hits: dict[str, int] = {}
+    for position, item in enumerate(recommended[:k], start=1):
+        if item in relevant and item not in hits:
+            hits[item] = position
+    return hits.values()
 
 
 def recall_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by the number of relevant items (0 if none)."""
-    _check_k(k)
-    if not relevant:
-        return 0.0
-    hits = sum(1 for item in recommended[:k] if item in relevant)
-    return hits / len(relevant)
+    hits = _hits(recommended, relevant, k)
+    return len(hits) / len(relevant) if relevant else 0.0
 
 
 def precision_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by k, even when fewer items were produced."""
-    _check_k(k)
-    hits = sum(1 for item in recommended[:k] if item in relevant)
-    return hits / k
+    return len(_hits(recommended, relevant, k)) / k
 
 
 def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
-    """Binary-relevance nDCG: position p contributes 1/log2(1 + p) when relevant.
+    """Binary-relevance nDCG: the hit at position p contributes 1/log2(1 + p).
 
     The ideal ranking places min(|relevant|, k) relevant items on top; returns
     0 when there are no relevant items.
     """
-    _check_k(k)
     dcg = 0.0
-    for position, item in enumerate(recommended[:k], start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(1 + position)
+    for position in _hits(recommended, relevant, k):
+        dcg += 1.0 / math.log2(1 + position)
     ideal = min(len(relevant), k)
     if ideal == 0:
         return 0.0
@@ -160,7 +160,7 @@ def _category_set_distance(first: frozenset[str], second: frozenset[str]) -> flo
 
 
 def diversity_at_k(
-    recommended: Sequence[str], distance: ItemDistance, k: Optional[int] = None
+    recommended: Sequence[_Item], distance: Callable[[_Item, _Item], float], k: Optional[int] = None
 ) -> float:
     """Mean pairwise distance over all ordered pairs in the (truncated) list.
 
@@ -254,13 +254,6 @@ class _Engine:
         self._lists: dict = {}
         self._popular: dict = {}  # list kind -> full popularity ranking
         self._relevant: dict = {}
-        classes: dict[frozenset[str], int] = {}
-        self._category_class = {
-            p.id: classes.setdefault(frozenset(p.category_path), len(classes))
-            for p in corpus.products.values()
-        }
-        self._class_sets = tuple(classes)
-        self._distances: dict[tuple[int, int], float] = {}
 
     def slice_for(self, feature_id, user):
         if self.outer is not None and parse_feature_id(feature_id).entity_kind not in PURCHASE_KINDS:
@@ -303,17 +296,21 @@ class _Engine:
             self._relevant[key] = frozenset(list_items(self.corpus, TASK_LISTS[task], self.split.test[user]))
         return self._relevant[key]
 
-    def item_distance(self, a: str, b: str) -> float:
-        """category_distance by product id, memoised per unordered pair of category-set classes."""
-        if a == b:
-            return 0.0
-        first, second = self._category_class[a], self._category_class[b]
-        key = (first, second) if first <= second else (second, first)
-        distance = self._distances.get(key)
-        if distance is None:
-            sets = self._class_sets
-            distance = self._distances[key] = _category_set_distance(sets[first], sets[second])
-        return distance
+    @cached_property
+    def category_classes(self) -> tuple[dict[str, int], Callable[[int, int], float]]:
+        """Product id -> code of its category set, and the cached distance of two codes.
+
+        Built when diversity is first measured, so the weighting engine never
+        builds it. The code distance of two distinct products is their
+        category_distance, and no engine list repeats a product.
+        """
+        classes: dict[frozenset[str], int] = {}
+        codes = {
+            p.id: classes.setdefault(frozenset(p.category_path), len(classes))
+            for p in self.corpus.products.values()
+        }
+        sets = tuple(classes)
+        return codes, cache(lambda a, b: _category_set_distance(sets[a], sets[b]))
 
 
 def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
@@ -331,6 +328,7 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     precision_sums = {k: 0.0 for k in CURVE_KS}
     ndcg_sum = recall_n = precision_n = diversity_sum = 0.0
     served_products = served_task = short_product_lists = 0
+    codes, class_distance = engine.category_classes
 
     for user in eligible:
         task_list = engine.task_list(rec, task, user)
@@ -344,7 +342,7 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
         ndcg_sum += ndcg_at_k(ids, relevant, n)
         recall_n += recall_at_k(ids, relevant, n)
         precision_n += precision_at_k(ids, relevant, n)
-        # one running hit count gives recall_at_k and precision_at_k for every curve k
+        # engine lists never repeat an item: one running hit count serves every curve k
         hits = 0
         for k in CURVE_KS:
             if k <= len(ids) and ids[k - 1] in relevant:
@@ -354,7 +352,7 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
         product_ids = product_list.item_ids()
         if len(product_ids) < 2:
             short_product_lists += 1
-        diversity_sum += diversity_at_k(product_ids, engine.item_distance, n)
+        diversity_sum += diversity_at_k([codes[p] for p in product_ids], class_distance, n)
 
     total = len(eligible)
     accuracy_base = total if averaging == "harsh" else served_task
@@ -513,18 +511,8 @@ def format_report_table(report: EvalReport) -> str:
     n = report.list_length
     lines = [f"recommender\tndcg@{n}\tp@{n}\tr@{n}\td@{n}\tuc"]
     for row in report.rows:
-        lines.append(
-            "\t".join(
-                [
-                    row.recommender,
-                    _fmt(row.ndcg),
-                    _fmt(row.precision),
-                    _fmt(row.recall),
-                    _fmt(row.diversity),
-                    _fmt(row.coverage),
-                ]
-            )
-        )
+        values = (row.ndcg, row.precision, row.recall, row.diversity, row.coverage)
+        lines.append("\t".join([row.recommender, *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 

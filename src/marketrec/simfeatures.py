@@ -140,6 +140,17 @@ class EntitySets(dict):
         at = {entity: i for i, entity in enumerate(ids)}.__getitem__
         return ids, {user: np.fromiter(map(at, s), np.int32, len(s)) for user, s in self.items()}
 
+    @cached_property
+    def holders(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Entity id -> int32 positions of its holders in the sorted user ids, and each user's entity count."""
+        users = sorted(self)
+        held: dict[str, list[int]] = defaultdict(list)
+        for i, user in enumerate(users):
+            for entity in self[user]:
+                held[entity].append(i)
+        sizes = np.fromiter(map(len, map(self.__getitem__, users)), np.int64, len(users))
+        return {e: np.array(p, np.int32) for e, p in held.items()}, sizes
+
 
 _NO_SCORES = (np.empty(0, np.intp), np.empty(0))
 
@@ -159,7 +170,6 @@ class SimilarityContext:
         self._position = {user: i for i, user in enumerate(self.users)}
         self._graphs: dict[str, InteractionGraph] = {}
         self._entity_sets: dict[str, EntitySets] = {}
-        self._content: dict[str, tuple[dict[str, np.ndarray], np.ndarray]] = {}
         self._directed: dict[tuple[str, str], int] | None = None
 
     def graph(self, name: str) -> InteractionGraph:
@@ -176,18 +186,6 @@ class SimilarityContext:
         if kind not in self._entity_sets:
             self._entity_sets[kind] = EntitySets(entity_sets(self.corpus, kind))
         return self._entity_sets[kind]
-
-    def _content_index(self, kind: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Entity id -> int32 positions of the users holding it, and each user's entity count."""
-        if kind not in self._content:
-            sets = self.entity_sets(kind)
-            positions: dict[str, list[int]] = defaultdict(list)
-            for i, user in enumerate(self.users):
-                for entity in sets[user]:
-                    positions[entity].append(i)
-            sizes = np.fromiter(map(len, map(sets.__getitem__, self.users)), np.int64, len(self.users))
-            self._content[kind] = ({e: np.array(p, np.int32) for e, p in positions.items()}, sizes)
-        return self._content[kind]
 
     def directed_count(self, actor: str, target: str) -> int:
         if self._directed is None:
@@ -217,7 +215,7 @@ class SimilarityContext:
         it yields a neighbourhood like every other feature.
         """
         if spec.graph is None:
-            holders, size = self._content_index(spec.entity_kind)
+            holders, size = self.entity_sets(spec.entity_kind).holders
             own = self.entity_sets(spec.entity_kind)[self.users[t]]
             if not own:
                 return _NO_SCORES

@@ -195,6 +195,30 @@ def test_precision_golden_values():
         precision_at_k(["r1"], relevant, 0)
 
 
+def test_metrics_count_a_repeated_item_once_at_its_first_position():
+    assert recall_at_k(["a", "a"], {"a"}, 2) == 1.0
+    assert precision_at_k(["a", "a"], {"a"}, 2) == 0.5
+    assert ndcg_at_k(["a", "a"], {"a"}, 2) == 1.0
+    assert ndcg_at_k(["x", "a", "a"], {"a"}, 3) == ndcg_at_k(["x", "a", "y"], {"a"}, 3)
+    assert recall_at_k(["a", "b", "a", "b"], {"a", "b", "c"}, 4) == pytest.approx(2 / 3, **APPROX)
+
+
+@given(
+    items=st.lists(st.sampled_from("abcdxy"), max_size=12),
+    relevant=st.sets(st.sampled_from("abcdz")),
+    k=st.integers(1, 13),
+)
+def test_metrics_equal_those_of_the_list_without_repeats(items, relevant, k):
+    # a repeat scores like a non-relevant item in its place
+    seen = set()
+    unique = []
+    for i, item in enumerate(items):
+        unique.append(item if item not in seen else f"filler{i}")
+        seen.add(item)
+    for metric in (recall_at_k, precision_at_k, ndcg_at_k):
+        assert metric(items, relevant, k) == metric(unique, relevant, k)
+
+
 @pytest.mark.parametrize("metric", [recall_at_k, precision_at_k, ndcg_at_k])
 @pytest.mark.parametrize("k", [0, -1])
 def test_metrics_reject_k_below_one(metric, k):
@@ -304,21 +328,45 @@ def test_diversity_measures_each_pair_once_and_sums_like_the_oracle(items, table
     assert result == oracles.diversity(items[:k], dist)
 
 
-def test_item_distance_memo_equals_path_distance(small_corpus):
+def test_class_distance_equals_path_distance(small_corpus):
     engine = _Engine(small_corpus, make_split(small_corpus, seed=3), DEFAULT_K, 10)
+    assert "category_classes" not in vars(engine)  # built on first use
+    codes, distance = engine.category_classes
     products = sorted(small_corpus.products.values(), key=lambda p: p.id)
     paths = Counter(p.category_path for p in products)
     # uncategorized products and distinct products sharing a path both occur
     assert paths[()] >= 2 and any(count >= 2 for path, count in paths.items() if path)
-    for _ in range(2):  # the second round reads every distance from the memo
+    for _ in range(2):  # the second round reads every distance from the cache
         for a in products:
             for b in products:
-                expected = oracles.path_distance(
-                    a.category_path, b.category_path, same_item=a.id == b.id
-                )
-                assert engine.item_distance(a.id, b.id) == expected
-    # at most one memo entry per unordered pair of category paths
-    assert len(engine._distances) <= len(paths) * (len(paths) + 1) // 2
+                if a.id != b.id:
+                    expected = oracles.path_distance(a.category_path, b.category_path, same_item=False)
+                    assert distance(codes[a.id], codes[b.id]) == expected
+    # at most one cache entry per ordered pair of category-set classes
+    classes = len(set(codes.values()))
+    assert classes == len({frozenset(path) for path in paths})
+    assert distance.cache_info().currsize <= classes**2
+
+
+def test_engine_lists_never_repeat_an_item(planted_corpus):
+    # diversity over class codes and the running curve hit count both rely on this
+    split = make_split(planted_corpus, PLANTED_SPLIT_SEED)
+    engine = _Engine(planted_corpus, split, DEFAULT_K, 10)
+    inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10, outer=engine)
+    (derived,) = [r for r in ALL_RECOMMENDERS if isinstance(r, HybridDef) and r.weights is None]
+    (explicit,) = [r for r in ALL_RECOMMENDERS if isinstance(r, HybridDef) and r.weights is not None]
+    for task in TASKS:
+        weights = {c: _harsh_ndcg(inner, c, task) for c in derived.components}
+        assert sum(w > 0 for w in weights.values()) >= 2
+        recommenders = ["most_popular", *ALL_FEATURE_IDS, explicit, replace(derived, weights=weights)]
+        long_lists = 0
+        for rec in recommenders:
+            for user in sorted(split.eligible):
+                ids = engine.task_list(rec, task, user).item_ids()
+                assert len(set(ids)) == len(ids), (rec, task, user)
+                long_lists += len(ids) >= 2
+        assert long_lists >= len(recommenders) * len(split.eligible) // 2
+    assert "category_classes" not in vars(inner)  # the weighting engine measures no diversity
 
 
 # --- experiment runner --------------------------------------------------------

@@ -391,6 +391,22 @@ def test_directed_symmetrized_for_neighbourhoods():
     assert context.k_nearest("sn.graph.directed", "a", 5).scored == (("b", 2.0), ("c", 1.0))
 
 
+@pytest.mark.parametrize("kind", ["purchases", "groups"])
+def test_entity_set_holders_transpose_positions(small_corpus, kind):
+    sets = SimilarityContext(small_corpus).entity_sets(kind)
+    users = sorted(small_corpus.users)
+    ids, held = sets.positions
+    holders, sizes = sets.holders
+    transposed = {}
+    for i, user in enumerate(users):
+        for entity in held[user].tolist():
+            transposed.setdefault(ids[entity], []).append(i)
+    assert {entity: p.tolist() for entity, p in holders.items()} == transposed
+    assert all(p.dtype == np.int32 for p in holders.values())
+    assert sizes.tolist() == [len(sets[user]) for user in users]
+    assert sets.holders is sets.holders
+
+
 def test_k_nearest_matches_bruteforce_oracle(small_corpus):
     context = SimilarityContext(small_corpus)
     owned = oracles.purchase_sets(small_corpus.purchases)
