@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -15,7 +16,6 @@ from .simfeatures import EntitySets, SimilarityMatrixSlice, best_first, check_le
 TASK_LISTS = {"products": "product", "low_categories": "low_category", "top_categories": "top_category"}
 _EXTRACTOR_BY_KIND = {"product": None, "low_category": low_level_category, "top_category": top_level_category}
 DEFAULT_N = 10
-_NO_PRODUCTS = np.empty(0, np.int32)
 
 
 @dataclass(frozen=True)
@@ -83,31 +83,34 @@ def most_popular(
 
 
 def _cf_sums(slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozenset[str]]):
-    """Sorted product ids, the neighbours' positions in them in slice order, and each position's CF sum.
+    """The sets over the slice's users, the neighbours' product positions in slice order, and each position's CF sum.
 
-    ``np.bincount`` adds each sum in input order, slice order, so it is bit-identical to tests/oracles.py.
-    The target's products read 0, as non-candidates do: slice similarities are positive.
+    One index expression gathers them from the CSR form, and ``np.bincount`` adds in slice order, bit-identical
+    to tests/oracles.py. The target's products read 0. Sets over another user list raise ValueError.
     """
-    sets = purchase_sets if isinstance(purchase_sets, EntitySets) else EntitySets(purchase_sets)
-    products, held = sets.positions
-    arrays = [held.get(neighbor, _NO_PRODUCTS) for neighbor, _ in slice_.scored]
-    weights = np.array([sim for _, sim in slice_.scored]).repeat(list(map(len, arrays)))
-    flat = np.concatenate([_NO_PRODUCTS, *arrays])
-    sums = np.bincount(flat, weights, len(products))
-    sums[held.get(slice_.target, _NO_PRODUCTS)] = 0.0
-    return products, flat, sums
+    sets = purchase_sets if isinstance(purchase_sets, EntitySets) else EntitySets(purchase_sets, slice_.universe)
+    if sets.users is not slice_.universe:
+        raise ValueError("the slice and the purchase sets are over different user lists")
+    last = sets.last_sums  # an evaluation engine asks for one slice's category list, then its product list
+    if last[0] is slice_:
+        return sets, last[1], last[2]
+    products, indptr, indices = sets.positions
+    starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
+    lens = ends - starts
+    flat = indices[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
+    sums = np.bincount(flat, slice_.scores.repeat(lens), len(products))
+    t = bisect_left(slice_.universe, slice_.target)
+    sums[indices[indptr[t]:indptr[t + 1]]] = 0.0
+    sets.last_sums = (slice_, flat, sums)
+    return sets, flat, sums
 
 
 def cf_candidate_scores(
     slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozenset[str]]
 ) -> dict[str, float]:
-    """Score every product owned by a neighbour but not by the target.
-
-    The score of an item is the sum of the similarities of the neighbours
-    that own it, added in slice order. Returns the full (untruncated) candidate pool.
-    """
-    products, flat, sums = _cf_sums(slice_, purchase_sets)
-    return {products[p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
+    """Each product a neighbour owns and the target does not -> its owners' similarities, summed in slice order."""
+    sets, flat, sums = _cf_sums(slice_, purchase_sets)
+    return {sets.positions[0][p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
 
 
 def cf_products(
@@ -120,10 +123,10 @@ def cf_products(
     An empty slice yields an empty list, signalling that no recommendation
     was possible for this target.
     """
-    products, _, sums = _cf_sums(slice_, purchase_sets)
+    sets, _, sums = _cf_sums(slice_, purchase_sets)
     candidates = sums.nonzero()[0]  # ascending positions, so ties break by ascending id
     positions, scores = best_first(candidates, sums[candidates], n)
-    names = map(products.__getitem__, positions.tolist())
+    names = map(sets.positions[0].__getitem__, positions.tolist())
     return RecommendationList(target=slice_.target, kind="product", items=tuple(zip(names, scores.tolist())))
 
 
@@ -136,20 +139,25 @@ def cf_categories(
 ) -> RecommendationList:
     """Category predictions of one list kind from the full CF product candidate pool.
 
-    The pool is every product a neighbour owns and the target does not, the
-    keys of ``cf_candidate_scores``; shares need no similarity sums. Each
-    candidate product contributes its ``list_items`` category of ``kind``
-    ("top_category" or "low_category") once; a category's score is its share
-    of all the pool's category occurrences.
+    The pool is every product a neighbour owns and the target does not: the nonzero CF sums. Each
+    adds its category of ``kind`` ("top_category" or "low_category") once, an uncategorized one none,
+    and a category scores its share of them. The purchase sets keep per kind and product table the
+    sorted category ids' codes by product position, so one ``np.bincount`` counts, and ties break by id.
     """
     if _EXTRACTOR_BY_KIND.get(kind) is None:
         raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
-    owned = purchase_sets.get(slice_.target, frozenset())
-    pool = frozenset().union(*(purchase_sets.get(v, ()) for v, _ in slice_.scored)) - owned
-    counts = Counter(list_items(corpus, kind, pool))
-    total = sum(counts.values())
-    scores = {category: count / total for category, count in counts.items()}
-    return RecommendationList(target=slice_.target, kind=kind, items=tuple(top_n(scores, n)))
+    sets, _, sums = _cf_sums(slice_, purchase_sets)
+    if sets.category_codes.get(kind, (None,))[0] is not corpus.products:
+        found = list(map(_EXTRACTOR_BY_KIND[kind], map(corpus.products.__getitem__, sets.positions[0])))
+        categories = sorted(set(found) - {None})
+        at = {category: i for i, category in enumerate(categories)}  # len(at) codes no category
+        sets.category_codes[kind] = (corpus.products, categories, np.array([at.get(c, len(at)) for c in found], int))
+    _, categories, codes = sets.category_codes[kind]
+    counts = np.bincount(codes[sums > 0], minlength=len(categories) + 1)[:-1]
+    present = counts.nonzero()[0]
+    positions, shares = best_first(present, counts[present] / counts.sum(), n)
+    names = map(categories.__getitem__, positions.tolist())
+    return RecommendationList(target=slice_.target, kind=kind, items=tuple(zip(names, shares.tolist())))
 
 
 def normalize_scores(rec: RecommendationList) -> RecommendationList:

@@ -13,10 +13,12 @@ interaction graph, neighbourhood overlap). See ALL_FEATURE_IDS.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, TypeVar
+from itertools import chain
+from typing import Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -83,20 +85,35 @@ def parse_feature_id(feature_id: str) -> FeatureSpec:
         raise UnknownFeatureError(f"unknown feature id: {feature_id!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrixSlice:
     """Scored candidate neighbours for one target user, best first.
 
-    Ordering is total: descending similarity, ties broken by ascending
-    candidate id. All similarities are positive; candidates never include
-    the target.
+    Int32 ``positions`` index ``universe``, the building context's sorted user ids; float64 ``scores``
+    are positive, descending, ties by ascending id. ``scored``, ``users()`` and ``len()`` read them by id.
     """
 
     target: str
-    scored: tuple[tuple[str, float], ...]
+    universe: Sequence[str]
+    positions: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, target: str, scored, users: Sequence[str]) -> SimilarityMatrixSlice:
+        """The slice of ``(user id, score)`` pairs in that order over ``users``, sorted ids holding every id given."""
+        at = {user: i for i, user in enumerate(users)}
+        positions = np.array([at[user] for user in (target, *(user for user, _ in scored))], np.int32)
+        return cls(target, users, positions[1:], np.array([score for _, score in scored], float))
+
+    @cached_property
+    def scored(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(map(self.universe.__getitem__, self.positions.tolist()), self.scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self.scored)
+        return len(self.positions)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimilarityMatrixSlice) and (self.target, self.scored) == (other.target, other.scored)
 
     def users(self) -> tuple[str, ...]:
         return tuple(user for user, _ in self.scored)
@@ -131,25 +148,31 @@ def best_first(positions: np.ndarray, scores: np.ndarray, n: Optional[int]) -> t
 
 
 class EntitySets(dict):
-    """User -> entity set, as ``corpus.entity_sets`` maps them; the sets must not change."""
+    """User -> entity set, as corpus.entity_sets maps them, over sorted ids ``users``; the sets must not change."""
+
+    def __init__(self, sets: Mapping[str, frozenset[str]], users: Sequence[str]):
+        super().__init__(sets)
+        self.users = users
+        self.category_codes: dict = {}  # kept by recommender.cf_categories
+        self.last_sums: tuple = (None,)  # kept by recommender._cf_sums
 
     @cached_property
-    def positions(self) -> tuple[list[str], dict[str, np.ndarray]]:
-        """Sorted entity ids and each user's entities as int32 positions in them, in set order."""
-        ids = sorted(set().union(*self.values()))
+    def positions(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Sorted entity ids, and CSR ``indptr`` and int32 ``indices``: users[i]'s positions in them in set order."""
+        sets = [self.get(user, ()) for user in self.users]
+        ids = sorted(set().union(*sets))
         at = {entity: i for i, entity in enumerate(ids)}.__getitem__
-        return ids, {user: np.fromiter(map(at, s), np.int32, len(s)) for user, s in self.items()}
+        indptr = np.cumsum([0, *map(len, sets)])
+        return ids, indptr, np.fromiter(map(at, chain.from_iterable(sets)), np.int32, indptr[-1])
 
     @cached_property
     def holders(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Entity id -> int32 positions of its holders in the sorted user ids, and each user's entity count."""
-        users = sorted(self)
-        held: dict[str, list[int]] = defaultdict(list)
-        for i, user in enumerate(users):
-            for entity in self[user]:
-                held[entity].append(i)
-        sizes = np.fromiter(map(len, map(self.__getitem__, users)), np.int64, len(users))
-        return {e: np.array(p, np.int32) for e, p in held.items()}, sizes
+        """Entity id -> ascending int32 positions of its holders in ``users``, and each user's entity count."""
+        ids, indptr, indices = self.positions
+        u, sizes = len(self.users), np.diff(indptr)
+        held = np.sort(indices.astype(np.int64) * u + np.repeat(np.arange(u), sizes)) % u  # by entity, then user
+        ends = np.bincount(indices, minlength=len(ids)).cumsum()
+        return dict(zip(ids, np.split(held.astype(np.int32), ends[:-1]))), sizes
 
 
 _NO_SCORES = (np.empty(0, np.intp), np.empty(0))
@@ -160,14 +183,14 @@ class SimilarityContext:
 
     Everything is derived from an immutable corpus, so a context is safe for
     concurrent reads once built. Graphs and indexes are built on first use.
-    Content indexes hold positions in ``users``, the corpus users sorted by
-    id; a graph built from the corpus orders its rows the same way.
+    Content indexes and slices hold positions in ``users``, the corpus users
+    sorted by id; a graph built from the corpus orders its rows the same way.
     """
 
-    def __init__(self, corpus: Corpus):
+    def __init__(self, corpus: Corpus, users: Optional[list[str]] = None):
         self.corpus = corpus
-        self.users = sorted(corpus.users)
-        self._position = {user: i for i, user in enumerate(self.users)}
+        own = sorted(corpus.users)
+        self.users = users if users == own else own  # share an equal list: its slices then serve these sets
         self._graphs: dict[str, InteractionGraph] = {}
         self._entity_sets: dict[str, EntitySets] = {}
         self._directed: dict[tuple[str, str], int] | None = None
@@ -184,7 +207,7 @@ class SimilarityContext:
 
     def entity_sets(self, kind: str) -> EntitySets:
         if kind not in self._entity_sets:
-            self._entity_sets[kind] = EntitySets(entity_sets(self.corpus, kind))
+            self._entity_sets[kind] = EntitySets(entity_sets(self.corpus, kind), self.users)
         return self._entity_sets[kind]
 
     def directed_count(self, actor: str, target: str) -> int:
@@ -203,9 +226,8 @@ class SimilarityContext:
             raise UnknownUserError(target)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        positions, scores = best_first(*self._scores(spec, self._position[target]), k)
-        names = map(self.users.__getitem__, positions.tolist())
-        return SimilarityMatrixSlice(target, tuple(zip(names, scores.tolist())))
+        positions, scores = best_first(*self._scores(spec, bisect_left(self.users, target)), k)
+        return SimilarityMatrixSlice(target, self.users, positions.astype(np.int32), scores)
 
     def _scores(self, spec: FeatureSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in ``users`` of the users scoring above 0 against ``users[t]``, and their scores.

@@ -23,6 +23,10 @@ from helpers import make_corpus
 import oracles
 
 
+# Every user the CF tests name, sorted: slices index it, and a dict of purchase sets is read over the slice's list.
+USERS = ("a", "b", "c", "d", "e", "t", "v", "v1", "v2", "v3", "v4", "w")
+
+
 def rec(items, target="t", kind="product"):
     return RecommendationList(target=target, kind=kind, items=tuple(items))
 
@@ -135,7 +139,7 @@ def test_list_items_maps_products_to_the_items_of_each_kind():
 
 
 def test_cf_products_sums_neighbour_similarities():
-    slice_ = SimilarityMatrixSlice("t", (("v1", 0.5), ("v2", 0.3)))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
     owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p2"}), "t": frozenset()}
     result = cf_products(slice_, owned, 10)
     assert result.item_ids() == ("p2", "p1")
@@ -143,14 +147,14 @@ def test_cf_products_sums_neighbour_similarities():
 
 
 def test_cf_products_excludes_already_owned():
-    slice_ = SimilarityMatrixSlice("t", (("v1", 0.5), ("v2", 0.3)))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
     owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p2"}), "t": frozenset({"p2"})}
     result = cf_products(slice_, owned, 10)
     assert result.items == (("p1", 0.5),)
 
 
 def test_cf_products_empty_slice_gives_empty_list():
-    result = cf_products(SimilarityMatrixSlice("t", ()), {}, 10)
+    result = cf_products(SimilarityMatrixSlice.from_pairs("t", (), USERS), {}, 10)
     assert result.items == ()
     assert result.target == "t"
 
@@ -159,7 +163,7 @@ def test_negative_list_length_is_rejected():
     # a negative n would slice from the end: -1 kept one entry of three
     with pytest.raises(ValueError, match="n must be >= 0"):
         top_n({"a": 3.0, "b": 2.0, "c": 1.0}, -1)
-    slice_ = SimilarityMatrixSlice("t", (("v1", 0.5), ("v2", 0.3)))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
     owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}
     with pytest.raises(ValueError, match="n must be >= 0"):
         cf_products(slice_, owned, -1)
@@ -193,7 +197,7 @@ def test_cf_products_matches_exhaustive_oracle(small_corpus):
         assert list(result.items) == oracles.ranked(expected, 10)
     # Near tie: in slice order 0.3 + 0.2 + 0.1 is exactly 0.6, so "pb" ties "pa" and
     # follows it by id; any other addition order gives 0.6000000000000001 and flips them.
-    slice_ = SimilarityMatrixSlice("t", (("v1", 0.6), ("v2", 0.3), ("v3", 0.2), ("v4", 0.1)))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.6), ("v2", 0.3), ("v3", 0.2), ("v4", 0.1)), USERS)
     owned = {"v1": {"pa"}, "v2": {"pb"}, "v3": {"pb"}, "v4": {"pb"}, "t": set()}
     expected = oracles.ranked(oracles.cf_product_scores(slice_.scored, owned, set()), 10)
     assert expected == [("pa", 0.6), ("pb", 0.6)]
@@ -206,7 +210,7 @@ def test_cf_categories_frequency_shares():
         products=[("p1", "s", ("A",)), ("p2", "s", ("A",)), ("p3", "s", ("B",))],
         purchases=[("v", "p1"), ("v", "p2"), ("v", "p3")],
     )
-    slice_ = SimilarityMatrixSlice("t", (("v", 1.0),))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 1.0),), USERS)
     owned = {"v": frozenset({"p1", "p2", "p3"}), "t": frozenset()}
     result = cf_categories(slice_, corpus, owned, "top_category", 10)
     assert result.items == (("A", pytest.approx(2 / 3)), ("B", pytest.approx(1 / 3)))
@@ -220,7 +224,7 @@ def test_cf_categories_all_uncategorized_gives_empty():
         products=[("p1", "s", ()), ("p2", "s", ())],
         purchases=[("v", "p1"), ("v", "p2")],
     )
-    slice_ = SimilarityMatrixSlice("t", (("v", 1.0),))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 1.0),), USERS)
     owned = {"v": frozenset({"p1", "p2"}), "t": frozenset()}
     assert cf_categories(slice_, corpus, owned, "low_category", 10).items == ()
 
@@ -236,7 +240,7 @@ def test_cf_categories_uses_untruncated_candidates_and_levels():
         ],
         purchases=[("v", "p1"), ("v", "p2"), ("w", "p3"), ("w", "p4")],
     )
-    slice_ = SimilarityMatrixSlice("t", (("v", 0.9), ("w", 0.1)))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 0.9), ("w", 0.1)), USERS)
     owned = {"v": frozenset({"p1", "p2"}), "w": frozenset({"p3", "p4"}), "t": frozenset()}
     top = cf_categories(slice_, corpus, owned, "top_category", 1)
     assert top.items == (("A", pytest.approx(3 / 4)),)
@@ -269,7 +273,7 @@ CF_PRODUCTS = sorted(POPULAR_PATHS)
 )
 def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, kind, n):
     corpus = make_corpus(products=[(pid, "s", path) for pid, path in POPULAR_PATHS.items()])
-    slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))), USERS)
     pool = oracles.cf_product_scores(slice_.scored, owned, owned["t"])
     position = 0 if kind == "top_category" else -1
     counts = {}
@@ -296,7 +300,7 @@ def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, kind
     neighbours=[("a", 0.3), ("b", 0.3), ("c", 0.1)],
 )
 def test_cf_candidate_scores_matches_oracle(owned, neighbours):
-    slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))), USERS)
     target_owned = owned.get("t", frozenset())
     scores = cf_candidate_scores(slice_, owned)
     expected = oracles.cf_product_scores(slice_.scored, owned, target_owned)
@@ -321,7 +325,8 @@ def test_cf_candidate_scores_matches_oracle(owned, neighbours):
     length="pool", from_context=True,
 )
 def test_cf_products_matches_oracle_ranking(owned, neighbours, length, from_context):
-    slice_ = SimilarityMatrixSlice("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))))
+    scored = tuple(sorted(neighbours, key=lambda e: (-e[1], e[0])))
+    slice_ = SimilarityMatrixSlice.from_pairs("t", scored, USERS)
     pool = oracles.cf_product_scores(slice_.scored, owned, owned.get("t", frozenset()))
     n = {"zero": 0, "one": 1, "pool": len(pool), "past": len(pool) + 3, "all": None}[length]
     purchase_sets = owned
@@ -329,11 +334,90 @@ def test_cf_products_matches_oracle_ranking(owned, neighbours, length, from_cont
         corpus = make_corpus(
             products=[(pid, "s", ()) for pid in CF_PRODUCTS],
             purchases=[(user, item) for user, items in owned.items() for item in items],
-            extra_users=tuple(owned),
+            extra_users=tuple("tabcde"),
         )
-        purchase_sets = SimilarityContext(corpus).entity_sets("purchases")
-        assert purchase_sets == owned
+        context = SimilarityContext(corpus)
+        purchase_sets = context.entity_sets("purchases")
+        assert {user: purchase_sets[user] for user in owned} == owned
+        assert not any(purchase_sets[user] for user in set("tabcde") - set(owned))
+        slice_ = SimilarityMatrixSlice.from_pairs("t", scored, context.users)
     assert list(cf_products(slice_, purchase_sets, n).items) == oracles.ranked(pool, n)
+
+
+# Product id order is not category id order at either level, so codes given in
+# product order would break share ties differently from category ids.
+CATEGORY_PATHS = {
+    "p0": ("C", "C1"), "p1": ("A", "B1"), "p2": ("B", "A1"), "p3": (),
+    "p4": ("A", "A2"), "p5": ("C",), "p6": (), "p7": ("B", "B1"),
+}
+
+
+@given(
+    owned=st.fixed_dictionaries(
+        {user: st.frozensets(st.sampled_from(sorted(CATEGORY_PATHS))) for user in "tabcd"}
+    ),
+    neighbours=st.lists(
+        st.tuples(st.sampled_from("abcd"), st.floats(0.01, 1.0)), unique_by=lambda e: e[0]
+    ),
+    kind=st.sampled_from(["top_category", "low_category"]),
+    n=st.integers(0, 6),
+)
+@example(  # tied counts: "C" and "C1" come from the first product, "A" and "A1" sort first
+    owned={"t": frozenset(), "a": frozenset({"p0", "p1"}), "b": frozenset({"p2"}), "c": frozenset(),
+           "d": frozenset()},
+    neighbours=[("a", 0.5), ("b", 0.4)], kind="top_category", n=6,
+)
+@example(  # uncategorized products in the pool, and n below the number of categories
+    owned={"t": frozenset(), "a": frozenset({"p3", "p6", "p0"}), "b": frozenset({"p1", "p2", "p7"}),
+           "c": frozenset(), "d": frozenset()},
+    neighbours=[("b", 0.9), ("a", 0.2)], kind="low_category", n=2,
+)
+@example(  # an empty slice
+    owned={"t": frozenset(), "a": frozenset({"p0"}), "b": frozenset(), "c": frozenset(), "d": frozenset()},
+    neighbours=[], kind="low_category", n=3,
+)
+@example(  # the target owns the whole pool
+    owned={"t": frozenset(CATEGORY_PATHS), "a": frozenset({"p0", "p4"}), "b": frozenset({"p2"}),
+           "c": frozenset(), "d": frozenset()},
+    neighbours=[("a", 0.7), ("b", 0.1)], kind="top_category", n=3,
+)
+def test_cf_categories_matches_shares_counted_here(owned, neighbours, kind, n):
+    corpus = make_corpus(products=[(pid, "s", path) for pid, path in CATEGORY_PATHS.items()])
+    slice_ = SimilarityMatrixSlice.from_pairs("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))), USERS)
+    level = 0 if kind == "top_category" else -1
+    counts = {}
+    for product in oracles.cf_product_scores(slice_.scored, owned, owned["t"]):
+        path = CATEGORY_PATHS[product]
+        if path:
+            counts[path[level]] = counts.get(path[level], 0) + 1
+    total = sum(counts.values())
+    expected = oracles.ranked({category: count / total for category, count in counts.items()}, n)
+    assert list(cf_categories(slice_, corpus, owned, kind, n).items) == expected
+
+
+def test_cf_categories_reads_the_product_table_it_is_given():
+    rows = {"purchases": [("v", "p1"), ("v", "p2")], "extra_users": ("t",)}
+    first = make_corpus(products=[("p1", "s", ("A",)), ("p2", "s", ("A",))], **rows)
+    second = make_corpus(products=[("p1", "s", ("B",)), ("p2", "s", ())], **rows)
+    context = SimilarityContext(first)
+    purchase_sets = context.entity_sets("purchases")
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 1.0),), context.users)
+    for corpus, items in ((first, (("A", 1.0),)), (second, (("B", 1.0),)), (first, (("A", 1.0),))):
+        assert cf_categories(slice_, corpus, purchase_sets, "top_category").items == items
+
+
+def test_cf_lists_of_one_slice_in_turn_match_lists_made_alone(small_corpus):
+    context = SimilarityContext(small_corpus)
+    purchase_sets = context.entity_sets("purchases")
+    owned = oracles.purchase_sets(small_corpus.purchases)
+    for target in context.users[::5]:
+        for feature_id in ("mp.purchases.jaccard", "sn.graph.aa"):
+            slice_ = context.k_nearest(feature_id, target, 8)
+            alone = cf_categories(slice_, small_corpus, dict(purchase_sets), "low_category", 10)
+            assert cf_categories(slice_, small_corpus, purchase_sets, "low_category", 10) == alone
+            expected = oracles.cf_product_scores(slice_.scored, owned, owned.get(target, set()))
+            assert list(cf_products(slice_, purchase_sets, 10).items) == oracles.ranked(expected, 10)
+            assert cf_candidate_scores(slice_, purchase_sets) == expected
 
 
 def test_cf_category_scores_sum_to_one(small_corpus):
@@ -461,8 +545,8 @@ def test_hybrid_scaling_invariance_random_cases():
 
 def test_eq10_monotonicity_adding_owner_never_decreases_score():
     owned = {"v1": frozenset({"p1"}), "v2": frozenset({"p1", "p2"}), "t": frozenset()}
-    small = cf_products(SimilarityMatrixSlice("t", (("v1", 0.5),)), owned, 10)
-    grown = cf_products(SimilarityMatrixSlice("t", (("v1", 0.5), ("v2", 0.2))), owned, 10)
+    small = cf_products(SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5),), USERS), owned, 10)
+    grown = cf_products(SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.2)), USERS), owned, 10)
     assert dict(grown.items)["p1"] >= dict(small.items)["p1"]
 
 

@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marketrec import graphs
+from marketrec.corpus import load_corpus
+from marketrec.recommender import cf_categories, cf_products
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
     FeatureSpec,
     SimilarityContext,
+    SimilarityMatrixSlice,
     UnknownFeatureError,
     UnknownUserError,
     parse_feature_id,
     top_n,
 )
+from marketrec.synth import SyntheticSpec, generate
 
 from helpers import make_corpus, oracle_knn, oracle_scorer
 import oracles
@@ -391,15 +395,71 @@ def test_directed_symmetrized_for_neighbourhoods():
     assert context.k_nearest("sn.graph.directed", "a", 5).scored == (("b", 2.0), ("c", 1.0))
 
 
+def test_slices_hold_at_most_32_bytes_per_neighbour(tmp_path):
+    generate(SyntheticSpec(users=1000, clusters=20, noise=0.1, seed=1), tmp_path)
+    context = SimilarityContext(load_corpus(tmp_path))
+    features = ("loc.graph.no", "mp.purchases.jaccard")
+    for feature in features:  # graphs and indexes are built outside the trace
+        context.k_nearest(feature, context.users[0])
+    tracemalloc.start()
+    try:
+        held = [context.k_nearest(feature, user) for feature in features for user in context.users]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = sum(map(len, held))
+    assert len(held) == 2000 and pairs > 40_000
+    assert size / pairs <= 32  # (id, float) tuples took about 90
+
+
+def test_slice_views_read_positions_through_the_context_users(small_corpus):
+    context = SimilarityContext(small_corpus)
+    for feature_id in ("mp.purchases.jaccard", "sn.graph.aa", "loc.graph.no", "mp.sellers.total"):
+        for target in context.users[::4]:
+            slice_ = context.k_nearest(feature_id, target)
+            names = [context.users[p] for p in slice_.positions.tolist()]
+            assert slice_.universe is context.users and slice_.target == target
+            assert slice_.positions.dtype == np.int32 and slice_.scores.dtype == np.float64
+            assert slice_.scored == tuple(zip(names, slice_.scores.tolist()))
+            assert slice_.users() == tuple(names) and len(slice_) == len(names)
+            assert slice_.scored is slice_.scored
+            rebuilt = SimilarityMatrixSlice.from_pairs(target, slice_.scored, context.users)
+            assert rebuilt == slice_ and rebuilt.positions.tolist() == slice_.positions.tolist()
+    with pytest.raises(KeyError):
+        SimilarityMatrixSlice.from_pairs("nobody", (), context.users)
+
+
+def test_cf_rejects_a_slice_over_another_user_list(small_corpus):
+    context, other = SimilarityContext(small_corpus), SimilarityContext(small_corpus)
+    purchase_sets = context.entity_sets("purchases")
+    target = max(context.users, key=lambda user: len(purchase_sets[user]))
+    foreign = other.k_nearest("mp.purchases.jaccard", target)
+    assert foreign.universe == context.users and len(foreign)  # equal lists, but not the same list
+    with pytest.raises(ValueError, match="different user lists"):
+        cf_products(foreign, purchase_sets)
+    with pytest.raises(ValueError, match="different user lists"):
+        cf_categories(foreign, small_corpus, purchase_sets, "top_category")
+    shared = SimilarityContext(small_corpus, other.users)
+    assert shared.users is other.users
+    assert cf_products(foreign, shared.entity_sets("purchases")) == cf_products(
+        context.k_nearest("mp.purchases.jaccard", target), purchase_sets
+    )
+    assert SimilarityContext(small_corpus, other.users[1:]).users == context.users  # an unequal list is not shared
+
+
 @pytest.mark.parametrize("kind", ["purchases", "groups"])
 def test_entity_set_holders_transpose_positions(small_corpus, kind):
     sets = SimilarityContext(small_corpus).entity_sets(kind)
     users = sorted(small_corpus.users)
-    ids, held = sets.positions
+    ids, indptr, indices = sets.positions
     holders, sizes = sets.holders
+    assert sets.users == users and ids == sorted(set().union(*sets.values()))
+    assert indptr[0] == 0 and len(indptr) == len(users) + 1 and indices.dtype == np.int32
     transposed = {}
     for i, user in enumerate(users):
-        for entity in held[user].tolist():
+        held = indices[indptr[i]:indptr[i + 1]].tolist()
+        assert [ids[entity] for entity in held] == list(sets[user])  # in set order
+        for entity in held:
             transposed.setdefault(ids[entity], []).append(i)
     assert {entity: p.tolist() for entity, p in holders.items()} == transposed
     assert all(p.dtype == np.int32 for p in holders.values())
