@@ -20,6 +20,11 @@ def row_slices(count: int, width: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, count, step))
 
 
+def row_counts(words: np.ndarray) -> np.ndarray:
+    """The int64 bit count of each row of 2-D uint64 ``words``; einsum reduces rows faster than sum()."""
+    return np.einsum("ij->i", np.bitwise_count(words), dtype=np.int64)
+
+
 class InteractionGraph:
     """Undirected user graph held as one packed neighbour row per user.
 
@@ -56,33 +61,40 @@ class InteractionGraph:
         # a group sets each member's own bit
         diagonal = np.arange(len(rows))
         rows[diagonal, diagonal >> 3] &= ~(1 << (diagonal & 7)).astype(np.uint8)
-        self.degrees = np.bitwise_count(rows.view(np.uint64)).sum(axis=1, dtype=np.int64)
-
-    def row_bits(self, i: int) -> np.ndarray:
-        """Row i as one 0/1 uint8 per user, in ``users`` order."""
-        return np.unpackbits(self.rows[i], count=len(self.users), bitorder="little")
+        self.degrees = row_counts(rows.view(np.uint64))
 
     def neighbor_positions(self, i: int) -> np.ndarray:
         """Positions in ``users`` of the neighbours of ``users[i]``, ascending."""
-        return np.flatnonzero(self.row_bits(i))
+        return np.flatnonzero(np.unpackbits(self.rows[i], count=len(self.users), bitorder="little"))
 
     def shared_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the users two hops from ``users[i]``, ascending, and their shared neighbour counts.
 
         The reach is the OR of the neighbours' rows; each count is the bit count of
-        the AND of two rows. Both read at most CHUNK_BYTES of rows at a time.
+        the AND of two rows. A reach of half the users or more (as a neighbour of that
+        degree implies) ANDs every row where it lies and keeps the nonzero counts: a
+        gather copies each row it reads. Both paths read at most CHUNK_BYTES of rows at a time.
         """
-        rows, width = self.rows, self.rows.shape[1]
-        near, reach = self.neighbor_positions(i), np.zeros(width, np.uint8)
-        for part in row_slices(len(near), width):
-            reach |= np.bitwise_or.reduce(rows[near[part]], axis=0)
+        rows, width, words = self.rows, self.rows.shape[1], self.rows.view(np.uint64)
+        near, own, half = self.neighbor_positions(i), words[i], -(-len(self.users) // 2)
+        full = len(near) and self.degrees[near].max() >= half
+        if not full:
+            reach = np.zeros(width, np.uint8)
+            for part in row_slices(len(near), width):
+                reach |= np.bitwise_or.reduce(rows[near[part]], axis=0)
+            full = np.bitwise_count(reach).sum() >= half
+        if full:
+            counts = np.concatenate([row_counts(words[part] & own) for part in row_slices(len(words), width)])
+            counts[i] = 0
+            two_hop = np.flatnonzero(counts)
+            return two_hop, counts[two_hop]
         two_hop = np.flatnonzero(np.unpackbits(reach, count=len(self.users), bitorder="little"))
         two_hop = two_hop[two_hop != i]
-        own, words, counts = rows[i].view(np.uint64), rows.view(np.uint64), np.empty(len(two_hop), np.int64)
+        counts = np.empty(len(two_hop), np.int64)
         for part in row_slices(len(two_hop), width):
             shared = words[two_hop[part]]
             shared &= own  # in place: allocating a second temporary costs more than the AND
-            counts[part] = np.bitwise_count(shared).sum(axis=1)
+            counts[part] = row_counts(shared)
         return two_hop, counts
 
     def neighbors(self, user: str) -> frozenset[str]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -23,7 +22,7 @@ from typing import Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from .corpus import Corpus, entity_sets
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, row_slices
 
 DEFAULT_K = 40
 _Key = TypeVar("_Key", str, int)
@@ -193,7 +192,6 @@ class SimilarityContext:
         self.users = users if users == own else own  # share an equal list: its slices then serve these sets
         self._graphs: dict[str, InteractionGraph] = {}
         self._entity_sets: dict[str, EntitySets] = {}
-        self._directed: dict[tuple[str, str], int] | None = None
 
     def graph(self, name: str) -> InteractionGraph:
         if name not in self._graphs:
@@ -210,10 +208,23 @@ class SimilarityContext:
             self._entity_sets[kind] = EntitySets(entity_sets(self.corpus, kind), self.users)
         return self._entity_sets[kind]
 
+    @cached_property
+    def _directed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted int64 keys actor · U + target of interacting pairs' positions, their counts, and a last key U²."""
+        index, u = self.graph("social").index, len(self.users)
+        keys = (index[s.actor] * u + index[s.target] for s in self.corpus.social)
+        return np.unique(np.fromiter(chain(keys, [u * u]), np.int64), return_counts=True)
+
+    def _interactions(self, actors, targets) -> np.ndarray:
+        """Social interactions from ``users[actors]`` to ``users[targets]``, elementwise over positions."""
+        keys, counts = self._directed
+        query = actors * len(self.users) + targets
+        at = np.searchsorted(keys, query)
+        return np.where(keys[at] == query, counts[at], 0)
+
     def directed_count(self, actor: str, target: str) -> int:
-        if self._directed is None:
-            self._directed = Counter((s.actor, s.target) for s in self.corpus.social)
-        return self._directed.get((actor, target), 0)
+        index = self.graph("social").index
+        return int(self._interactions(index[actor], index[target])) if actor in index and target in index else 0
 
     def k_nearest(self, feature: str, target: str, k: int = DEFAULT_K) -> SimilarityMatrixSlice:
         """Top-k candidates by positive similarity to ``target`` under one feature id.
@@ -258,18 +269,22 @@ class SimilarityContext:
                 v = v[v != t]
                 return v, (n * size[v]).astype(float)
             if spec.feature == "directed":
-                v, count, target = graph.neighbor_positions(t), self.directed_count, self.users[t]
-                return v, np.array([max(count(target, u), count(u, target))
-                                    for u in map(self.users.__getitem__, v.tolist())], float)
+                v = graph.neighbor_positions(t)
+                return v, np.maximum(self._interactions(t, v), self._interactions(v, t)).astype(float)
             if spec.feature == "aa":
-                # z ascending adds each pair's terms in the oracle's order, one += at a time;
-                # adding 0.0 leaves a non-member's sum as it was. Builtin sum() compensates float
-                # sums from Python 3.12, and np.log rounds some degrees unlike the oracle's
+                # z ascending adds each pair's terms in the oracle's order, one += per block row (np.add.reduce
+                # would leave the order to numpy); adding 0.0 leaves a non-member's sum as it was. Builtin sum()
+                # compensates float sums from Python 3.12, and np.log rounds some degrees unlike the oracle's
                 # math.log. A neighbour of degree 1 links only to the target, and log(1) = 0
                 near, sums = graph.neighbor_positions(t), np.zeros(len(self.users))
-                for z, d in zip(near.tolist(), size[near].tolist()):
-                    if d > 1:
-                        sums += graph.row_bits(z) * (1.0 / math.log(d))
+                near = near[size[near] > 1]
+                weights = np.array([1.0 / math.log(d) for d in size[near].tolist()])
+                for part in row_slices(len(near), sums.nbytes):  # blocks of unpacked float64 rows
+                    block = np.unpackbits(graph.rows[near[part]], axis=1, count=len(sums), bitorder="little")
+                    block = block.astype(float)
+                    block *= weights[part, None]  # float64 by float64 in place: faster than uint8 by float64
+                    for row in block:
+                        sums += row
                 sums[t] = 0.0
                 v = np.flatnonzero(sums)
                 return v, sums[v]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marketrec.corpus import SocialInteraction
-from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph
+from marketrec import graphs
+from marketrec.graphs import InteractionGraph, build_colocation_graph, build_social_graph, row_slices
 
 from helpers import make_corpus
 import oracles
@@ -213,3 +214,68 @@ def test_social_graph_matches_pair_counts(small_corpus):
     expected = oracles.adjacency_from_social(small_corpus.social)
     assert expected
     assert adjacency(graph) == dict(expected)
+
+
+def shared_by_brute_force(graph, i):
+    """Positions two hops from users[i] and their shared neighbour counts, from neighbors() set intersections."""
+    own = graph.neighbors(graph.users[i])
+    shared = [(j, len(own & graph.neighbors(user))) for j, user in enumerate(graph.users) if j != i]
+    return [j for j, c in shared if c], [c for _, c in shared if c]
+
+
+def assert_shared_counts(graph, i):
+    positions, counts = graph.shared_counts(i)
+    assert positions.dtype == counts.dtype == np.int64
+    assert (positions.tolist(), counts.tolist()) == shared_by_brute_force(graph, i)
+
+
+# case -> (users, edges among positions, path taken). Target 0's neighbours are 1 and 2, and
+# ceil(U / 2) is 6 for U = 12 and 7 for U = 13. The reach, the OR of the neighbours' rows,
+# holds the target too.
+_PATH_CASES = {
+    "neighbour of degree ceil(U/2)": (
+        12, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (3, 4)], "shortcut"),
+    "reach 7 of 12, degrees below 6": (
+        12, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5), (2, 6), (2, 7)], "scan"),
+    "reach 4 of 12": (12, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4)], "gather"),
+    "reach exactly 6 of 12": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7)], "scan"),
+    "reach 5 of 12": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], "gather"),
+    "reach exactly 7 of 13": (
+        13, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8), (9, 10)], "scan"),
+    "reach 6 of 13": (13, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (9, 10), (9, 11)], "gather"),
+}
+
+
+@pytest.mark.parametrize("case", _PATH_CASES)
+def test_shared_counts_paths_match_set_intersections(monkeypatch, case):
+    """A reach of at least half the users ANDs every row; a smaller one gathers the reached rows."""
+    size, edges, path = _PATH_CASES[case]
+    users = [f"u{i:02d}" for i in range(size)]
+    graph = InteractionGraph(frozenset(users), [(users[a], users[b]) for a, b in edges])
+    sliced = []  # the row counts handed to graphs.row_slices: the reach OR's, then the AND's
+
+    def record(count, width):
+        sliced.append(count)
+        return row_slices(count, width)
+
+    monkeypatch.setattr(graphs, "row_slices", record)
+    assert_shared_counts(graph, 0)
+    reach = len(graph.neighbors(users[1]) | graph.neighbors(users[2]))
+    expected = {"shortcut": [size], "scan": [2, size], "gather": [2, reach - 1]}[path]
+    assert sliced == expected
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 1 << 20])
+@given(st.data())
+def test_shared_counts_match_set_intersections_on_random_graphs(chunk, data):
+    """Every target of random edge and group graphs, read one, two or all rows at a time."""
+    size = data.draw(st.integers(1, 24))
+    users = [f"u{i:02d}" for i in range(size)]
+    user = st.sampled_from(users)
+    edges = data.draw(st.lists(st.tuples(user, user).filter(lambda e: e[0] != e[1]), max_size=40))
+    groups = data.draw(st.lists(st.sets(user, max_size=size), max_size=3))
+    graph = InteractionGraph(frozenset(users), edges, groups)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "CHUNK_BYTES", chunk)
+        for i in range(size):
+            assert_shared_counts(graph, i)

@@ -563,6 +563,22 @@ def test_hub_members_match_oracle_across_row_slices(monkeypatch, feature_id):
         assert context.k_nearest(feature_id, target).scored == oracle_knn(users, target, DEFAULT_K, scorer)
 
 
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("feature_id", ["sn.graph.aa", "loc.graph.aa"])
+def test_aa_blocks_of_unpacked_rows_match_oracle(monkeypatch, small_corpus, feature_id, rows):
+    """Sparse graphs whose aa neighbours are unpacked one or three float64 rows at a time."""
+    context = SimilarityContext(small_corpus)
+    users = context.users
+    graph = context.graph(parse_feature_id(feature_id).graph)
+    weighted = [int((graph.degrees[graph.neighbor_positions(t)] > 1).sum()) for t in range(len(users))]
+    assert max(weighted) > 2 * rows  # some target adds more than two blocks
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", rows * 8 * len(users))
+    scorer = oracle_scorer(small_corpus, feature_id)
+    for target in users:
+        assert context.k_nearest(feature_id, target, len(users)).scored == oracle_knn(users, target, len(users), scorer)
+
+
 IDLE_USER = "zz-idle"
 
 
