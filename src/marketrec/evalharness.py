@@ -246,7 +246,7 @@ class _Engine:
         self.split = split
         self.outer = outer
         self.training = with_purchases(corpus, split.training)
-        self.context = SimilarityContext(self.training, outer.context.users if outer else None)
+        self.context = SimilarityContext(self.training)
         self.purchase_sets = self.context.entity_sets("purchases")
         self.knn_k = knn_k
         self.n = list_length

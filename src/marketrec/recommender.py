@@ -86,10 +86,11 @@ def _cf_sums(slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozense
     """The sets over the slice's users, the neighbours' product positions in slice order, and each position's CF sum.
 
     One index expression gathers them from the CSR form, and ``np.bincount`` adds in slice order, bit-identical
-    to tests/oracles.py. The target's products read 0. Sets over another user list raise ValueError.
+    to tests/oracles.py. The target's products read 0. The sets' ``users`` must be the slice's ``universe`` or
+    equal to it (compared by value only when the lists differ as objects); another user list raises ValueError.
     """
     sets = purchase_sets if isinstance(purchase_sets, EntitySets) else EntitySets(purchase_sets, slice_.universe)
-    if sets.users is not slice_.universe:
+    if sets.users is not slice_.universe and sets.users != slice_.universe:
         raise ValueError("the slice and the purchase sets are over different user lists")
     last = sets.last_sums  # an evaluation engine asks for one slice's category list, then its product list
     if last[0] is slice_:

@@ -186,10 +186,9 @@ class SimilarityContext:
     sorted by id; a graph built from the corpus orders its rows the same way.
     """
 
-    def __init__(self, corpus: Corpus, users: Optional[list[str]] = None):
+    def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        own = sorted(corpus.users)
-        self.users = users if users == own else own  # share an equal list: its slices then serve these sets
+        self.users = sorted(corpus.users)
         self._graphs: dict[str, InteractionGraph] = {}
         self._entity_sets: dict[str, EntitySets] = {}
 
@@ -221,10 +220,6 @@ class SimilarityContext:
         query = actors * len(self.users) + targets
         at = np.searchsorted(keys, query)
         return np.where(keys[at] == query, counts[at], 0)
-
-    def directed_count(self, actor: str, target: str) -> int:
-        index = self.graph("social").index
-        return int(self._interactions(index[actor], index[target])) if actor in index and target in index else 0
 
     def k_nearest(self, feature: str, target: str, k: int = DEFAULT_K) -> SimilarityMatrixSlice:
         """Top-k candidates by positive similarity to ``target`` under one feature id.

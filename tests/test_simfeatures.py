@@ -74,15 +74,16 @@ def test_jaccard_entities():
 
 def test_directed_interactions_one_direction_only():
     corpus = make_corpus(
-        social=[("a", "b", "love"), ("a", "b", "comment"), ("b", "a", "wallpost")]
+        social=[("a", "b", "love"), ("a", "b", "comment"), ("b", "a", "wallpost"), ("c", "a", "love")]
     )
     context = SimilarityContext(corpus)
-    assert context.directed_count("a", "b") == 2
-    assert context.directed_count("b", "a") == 1
-    assert context.directed_count("a", "c") == 0
     # neighbourhoods read the larger direction from either end
     assert similarity(context, "sn.graph.directed", "a", "b") == 2
     assert similarity(context, "sn.graph.directed", "b", "a") == 2
+    # a one-way pair reads its one count from both ends
+    assert similarity(context, "sn.graph.directed", "a", "c") == 1
+    assert similarity(context, "sn.graph.directed", "c", "a") == 1
+    assert similarity(context, "sn.graph.directed", "b", "c") == 0
 
 
 def test_common_neighbors_path_and_k4():
@@ -433,18 +434,19 @@ def test_cf_rejects_a_slice_over_another_user_list(small_corpus):
     context, other = SimilarityContext(small_corpus), SimilarityContext(small_corpus)
     purchase_sets = context.entity_sets("purchases")
     target = max(context.users, key=lambda user: len(purchase_sets[user]))
-    foreign = other.k_nearest("mp.purchases.jaccard", target)
-    assert foreign.universe == context.users and len(foreign)  # equal lists, but not the same list
-    with pytest.raises(ValueError, match="different user lists"):
-        cf_products(foreign, purchase_sets)
-    with pytest.raises(ValueError, match="different user lists"):
-        cf_categories(foreign, small_corpus, purchase_sets, "top_category")
-    shared = SimilarityContext(small_corpus, other.users)
-    assert shared.users is other.users
-    assert cf_products(foreign, shared.entity_sets("purchases")) == cf_products(
-        context.k_nearest("mp.purchases.jaccard", target), purchase_sets
+    own, foreign = (c.k_nearest("mp.purchases.jaccard", target) for c in (context, other))
+    assert foreign.universe == context.users and foreign.universe is not context.users and len(foreign)
+    # an equal list, though not the same object, serves these sets as the context's own does
+    assert cf_products(foreign, purchase_sets) == cf_products(own, purchase_sets)
+    assert cf_categories(foreign, small_corpus, purchase_sets, "top_category") == cf_categories(
+        own, small_corpus, purchase_sets, "top_category"
     )
-    assert SimilarityContext(small_corpus, other.users[1:]).users == context.users  # an unequal list is not shared
+    for users in (context.users[1:], [*context.users, "zz-extra"]):  # one user fewer, one more
+        unequal = dataclasses.replace(own, universe=users)
+        with pytest.raises(ValueError, match="different user lists"):
+            cf_products(unequal, purchase_sets)
+        with pytest.raises(ValueError, match="different user lists"):
+            cf_categories(unequal, small_corpus, purchase_sets, "top_category")
 
 
 @pytest.mark.parametrize("kind", ["purchases", "groups"])
