@@ -48,6 +48,14 @@ class ExperimentConfig:
     averaging: str = "harsh"
 
 
+# the keys each section may hold; every [hybrid:<name>] section holds those of "hybrid:"
+_SECTION_KEYS = {
+    "experiment": {"data", "out", "seed", "k", "n", "task", "averaging"},
+    "recommenders": {"ids"},
+    "hybrid:": {"components", "weights"},
+}
+
+
 def _split_list(value: str) -> list[str]:
     return [item for item in re.split(r"[,\s]+", value.strip()) if item]
 
@@ -57,9 +65,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     The [experiment] section holds run parameters, [recommenders] the plain
     recommender ids, and each [hybrid:<name>] section one weighted-sum hybrid
-    (components plus optional explicit weights aligned with them).
+    (components plus optional explicit weights aligned with them). Any other
+    section or key is an error, and ``;`` after whitespace starts a comment.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -68,6 +77,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        allowed = _SECTION_KEYS.get("hybrid:" if name.startswith("hybrid:") else name)
+        if allowed is None:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+        for key in parser.options(name):
+            if key not in allowed:
+                raise ConfigError(f"{path}: [{name}] unknown key {key!r}; allowed: {', '.join(sorted(allowed))}")
     if "experiment" not in parser:
         raise ConfigError(f"{path}: missing [experiment] section")
     section = parser["experiment"]

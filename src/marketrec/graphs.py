@@ -1,7 +1,8 @@
-"""Undirected, unweighted user graphs built from social interactions and co-attendance."""
+"""Undirected, unweighted user graphs from social interactions and co-attendance, and the network feature kernels."""
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import chain
 from typing import Iterable, Iterator
@@ -29,7 +30,10 @@ class InteractionGraph:
     """Undirected user graph held as one packed neighbour row per user.
 
     Each pair in ``edges`` and every two members of each set in ``groups``
-    share an edge: at least one shared action, whose count no feature reads.
+    share an edge. ``pairs`` keeps how often each ordered pair occurs in
+    ``edges``, for ``pair_counts`` (the ``directed`` feature): sorted int64
+    keys actor · U + target over positions in ``users``, their counts, and a
+    last key U² that no pair has, so every search lands inside the array.
     ``rows`` is a uint8 matrix with one row per entry of ``users``, which is
     sorted by id. Rows are packed little-endian: bit i of row j (bit i % 8 of
     byte i // 8) links ``users[i]`` and ``users[j]``. Each row is padded with
@@ -43,12 +47,13 @@ class InteractionGraph:
         self.vertices = vertices
         self.users = sorted(vertices.union(chain.from_iterable(edges), *groups))
         self.index = index = {user: i for i, user in enumerate(self.users)}
-        width = -(-len(self.users) // 64) * 8
-        self.rows = rows = np.zeros((len(self.users), width), np.uint8)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on {u!r}")
+        u = len(self.users)
+        width = -(-u // 64) * 8
+        self.rows = rows = np.zeros((u, width), np.uint8)
         ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.intp).reshape(-1, 2)
+        if (loops := ends[ends[:, 0] == ends[:, 1], 0]).size:
+            raise ValueError(f"self-loop on {self.users[loops[0]]!r}")
+        self.pairs = np.unique(np.append(ends[:, 0] * u + ends[:, 1], u * u), return_counts=True)
         ends, others = np.concatenate([ends, ends[:, ::-1]]).T  # each edge in both directions
         np.bitwise_or.at(rows, (ends, others >> 3), (1 << (others & 7)).astype(np.uint8))
         for group in groups:
@@ -96,6 +101,33 @@ class InteractionGraph:
             shared &= own  # in place: allocating a second temporary costs more than the AND
             counts[part] = row_counts(shared)
         return two_hop, counts
+
+    def pair_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the neighbours of ``users[i]``, ascending, and for each the larger count in ``edges`` of
+        the two ordered pairs it forms with ``users[i]``: one ``np.searchsorted`` of both directions' keys."""
+        (keys, counts), near, u = self.pairs, self.neighbor_positions(i), len(self.users)
+        query = np.concatenate([i * u + near, near * u + i])
+        at = np.searchsorted(keys, query)
+        return near, np.where(keys[at] == query, counts[at], 0).reshape(2, -1).max(axis=0)
+
+    def adamic_adar(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the users sharing a neighbour z with ``users[i]``, ascending, and their sums of 1 / ln deg(z).
+
+        z ascending adds each pair's terms in the oracle's order, one += per block row (np.add.reduce would leave the
+        order to numpy); adding 0.0 leaves a non-member's sum as it was. Builtin sum() compensates float sums from
+        Python 3.12, and np.log rounds some degrees unlike math.log. Skipped: z of degree 1 (log 1 = 0).
+        """
+        near, sums = self.neighbor_positions(i), np.zeros(len(self.users))
+        near = near[self.degrees[near] > 1]
+        weights = np.array([1.0 / math.log(d) for d in self.degrees[near].tolist()])
+        for part in row_slices(len(near), sums.nbytes):  # blocks of unpacked float64 rows
+            block = np.unpackbits(self.rows[near[part]], axis=1, count=len(sums), bitorder="little").astype(float)
+            block *= weights[part, None]  # float64 by float64 in place: faster than uint8 by float64
+            for row in block:
+                sums += row
+        sums[i] = 0.0
+        reached = np.flatnonzero(sums)
+        return reached, sums[reached]
 
     def neighbors(self, user: str) -> frozenset[str]:
         """All users sharing an edge with ``user``; empty for isolated or unknown users."""

@@ -82,19 +82,21 @@ def most_popular(
     return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))
 
 
-def _cf_sums(slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozenset[str]]):
-    """The sets over the slice's users, the neighbours' product positions in slice order, and each position's CF sum.
+def _cf_sums(slice_: SimilarityMatrixSlice, sets: EntitySets):
+    """The neighbours' product positions in slice order, and each position's CF sum.
 
-    One index expression gathers them from the CSR form, and ``np.bincount`` adds in slice order, bit-identical
-    to tests/oracles.py. The target's products read 0. The sets' ``users`` must be the slice's ``universe`` or
-    equal to it (compared by value only when the lists differ as objects); another user list raises ValueError.
+    One index expression gathers them from the sets' CSR form, and ``np.bincount`` adds in slice order,
+    bit-identical to tests/oracles.py. The target's products read 0. ``sets`` comes from
+    SimilarityContext.entity_sets, a plain mapping raises TypeError; its ``users`` must be the slice's
+    ``universe`` or equal to it (compared by value only when the lists differ as objects), or ValueError.
     """
-    sets = purchase_sets if isinstance(purchase_sets, EntitySets) else EntitySets(purchase_sets, slice_.universe)
+    if not isinstance(sets, EntitySets):
+        raise TypeError(f"purchase sets must come from SimilarityContext.entity_sets, got {type(sets).__name__}")
     if sets.users is not slice_.universe and sets.users != slice_.universe:
         raise ValueError("the slice and the purchase sets are over different user lists")
     last = sets.last_sums  # an evaluation engine asks for one slice's category list, then its product list
     if last[0] is slice_:
-        return sets, last[1], last[2]
+        return last[1], last[2]
     products, indptr, indices = sets.positions
     starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
     lens = ends - starts
@@ -103,38 +105,32 @@ def _cf_sums(slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozense
     t = bisect_left(slice_.universe, slice_.target)
     sums[indices[indptr[t]:indptr[t + 1]]] = 0.0
     sets.last_sums = (slice_, flat, sums)
-    return sets, flat, sums
+    return flat, sums
 
 
-def cf_candidate_scores(
-    slice_: SimilarityMatrixSlice, purchase_sets: Mapping[str, frozenset[str]]
-) -> dict[str, float]:
+def cf_candidate_scores(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets) -> dict[str, float]:
     """Each product a neighbour owns and the target does not -> its owners' similarities, summed in slice order."""
-    sets, flat, sums = _cf_sums(slice_, purchase_sets)
-    return {sets.positions[0][p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
+    flat, sums = _cf_sums(slice_, purchase_sets)
+    return {purchase_sets.positions[0][p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
 
 
-def cf_products(
-    slice_: SimilarityMatrixSlice,
-    purchase_sets: Mapping[str, frozenset[str]],
-    n: int = DEFAULT_N,
-) -> RecommendationList:
-    """User-based CF product list from a neighbourhood slice.
+def cf_products(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets, n: int = DEFAULT_N) -> RecommendationList:
+    """User-based CF product list from a neighbourhood slice over ``SimilarityContext.entity_sets("purchases")``.
 
     An empty slice yields an empty list, signalling that no recommendation
     was possible for this target.
     """
-    sets, _, sums = _cf_sums(slice_, purchase_sets)
+    _, sums = _cf_sums(slice_, purchase_sets)
     candidates = sums.nonzero()[0]  # ascending positions, so ties break by ascending id
     positions, scores = best_first(candidates, sums[candidates], n)
-    names = map(sets.positions[0].__getitem__, positions.tolist())
+    names = map(purchase_sets.positions[0].__getitem__, positions.tolist())
     return RecommendationList(target=slice_.target, kind="product", items=tuple(zip(names, scores.tolist())))
 
 
 def cf_categories(
     slice_: SimilarityMatrixSlice,
     corpus: Corpus,
-    purchase_sets: Mapping[str, frozenset[str]],
+    purchase_sets: EntitySets,
     kind: str,
     n: int = DEFAULT_N,
 ) -> RecommendationList:
@@ -147,13 +143,14 @@ def cf_categories(
     """
     if _EXTRACTOR_BY_KIND.get(kind) is None:
         raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
-    sets, _, sums = _cf_sums(slice_, purchase_sets)
-    if sets.category_codes.get(kind, (None,))[0] is not corpus.products:
-        found = list(map(_EXTRACTOR_BY_KIND[kind], map(corpus.products.__getitem__, sets.positions[0])))
+    _, sums = _cf_sums(slice_, purchase_sets)
+    kept = purchase_sets.category_codes
+    if kept.get(kind, (None,))[0] is not corpus.products:
+        found = list(map(_EXTRACTOR_BY_KIND[kind], map(corpus.products.__getitem__, purchase_sets.positions[0])))
         categories = sorted(set(found) - {None})
         at = {category: i for i, category in enumerate(categories)}  # len(at) codes no category
-        sets.category_codes[kind] = (corpus.products, categories, np.array([at.get(c, len(at)) for c in found], int))
-    _, categories, codes = sets.category_codes[kind]
+        kept[kind] = (corpus.products, categories, np.array([at.get(c, len(at)) for c in found], int))
+    _, categories, codes = kept[kind]
     counts = np.bincount(codes[sums > 0], minlength=len(categories) + 1)[:-1]
     present = counts.nonzero()[0]
     positions, shares = best_first(present, counts[present] / counts.sum(), n)

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from .corpus import Corpus, entity_sets
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, row_slices
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 DEFAULT_K = 40
 _Key = TypeVar("_Key", str, int)
@@ -207,20 +207,6 @@ class SimilarityContext:
             self._entity_sets[kind] = EntitySets(entity_sets(self.corpus, kind), self.users)
         return self._entity_sets[kind]
 
-    @cached_property
-    def _directed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted int64 keys actor · U + target of interacting pairs' positions, their counts, and a last key U²."""
-        index, u = self.graph("social").index, len(self.users)
-        keys = (index[s.actor] * u + index[s.target] for s in self.corpus.social)
-        return np.unique(np.fromiter(chain(keys, [u * u]), np.int64), return_counts=True)
-
-    def _interactions(self, actors, targets) -> np.ndarray:
-        """Social interactions from ``users[actors]`` to ``users[targets]``, elementwise over positions."""
-        keys, counts = self._directed
-        query = actors * len(self.users) + targets
-        at = np.searchsorted(keys, query)
-        return np.where(keys[at] == query, counts[at], 0)
-
     def k_nearest(self, feature: str, target: str, k: int = DEFAULT_K) -> SimilarityMatrixSlice:
         """Top-k candidates by positive similarity to ``target`` under one feature id.
 
@@ -263,29 +249,11 @@ class SimilarityContext:
                 v = np.flatnonzero(size)
                 v = v[v != t]
                 return v, (n * size[v]).astype(float)
-            if spec.feature == "directed":
-                v = graph.neighbor_positions(t)
-                return v, np.maximum(self._interactions(t, v), self._interactions(v, t)).astype(float)
             if spec.feature == "aa":
-                # z ascending adds each pair's terms in the oracle's order, one += per block row (np.add.reduce
-                # would leave the order to numpy); adding 0.0 leaves a non-member's sum as it was. Builtin sum()
-                # compensates float sums from Python 3.12, and np.log rounds some degrees unlike the oracle's
-                # math.log. A neighbour of degree 1 links only to the target, and log(1) = 0
-                near, sums = graph.neighbor_positions(t), np.zeros(len(self.users))
-                near = near[size[near] > 1]
-                weights = np.array([1.0 / math.log(d) for d in size[near].tolist()])
-                for part in row_slices(len(near), sums.nbytes):  # blocks of unpacked float64 rows
-                    block = np.unpackbits(graph.rows[near[part]], axis=1, count=len(sums), bitorder="little")
-                    block = block.astype(float)
-                    block *= weights[part, None]  # float64 by float64 in place: faster than uint8 by float64
-                    for row in block:
-                        sums += row
-                sums[t] = 0.0
-                v = np.flatnonzero(sums)
-                return v, sums[v]
-            # every user two hops away shares c >= 1 neighbours with the target
-            v, c = graph.shared_counts(t)
-        if spec.feature in ("common", "cn"):
+                return graph.adamic_adar(t)
+            # every user two hops away shares c >= 1 neighbours with the target, and every neighbour interacted
+            v, c = graph.pair_counts(t) if spec.feature == "directed" else graph.shared_counts(t)
+        if spec.feature in ("common", "cn", "directed"):
             scores = c.astype(float)
         elif spec.feature == "jaccard":
             scores = c / (n + size[v] - c)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from marketrec.cli import (
@@ -180,6 +182,26 @@ def test_run_reports_all_zero_derived_weights(tmp_path, planted_dataset, capsys)
     meta = dict(line.split("\t") for line in (results / "meta.tsv").read_text().splitlines())
     assert meta["weight.h.mp.purchases.jaccard"] == "0.000000"
     assert meta["served.h"] == "0"
+
+
+def test_misspelt_sections_and_keys_fail_the_run(tmp_path, dataset, capsys):
+    # each used to be ignored: the run kept k = 10 and n = 10 and had no hybrid
+    config = _config_file(tmp_path, dataset, "\n[hybird:x]\ncomponents = sn.graph.no, most_popular\n")
+    text = config.read_text()
+    config.write_text(text.replace("k = 10", "knn_k = 5").replace("n = 10", "list_length = 3"))
+    assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {config}: [experiment] unknown key 'knn_k'; allowed: averaging")
+    assert not (tmp_path / "results").exists()
+    for wrong, message in (
+        (text.replace("n = 10", "list_length = 3"), "[experiment] unknown key 'list_length'"),
+        (text, "unknown section [hybird:x]"),
+        ("[DEFAULT]\nseed = 3\n" + text.replace("hybird", "hybrid"), "unknown section [DEFAULT]"),
+        (text.replace("hybird", "hybrid").replace("components", "component"), "[hybrid:x] unknown key 'component'"),
+        (text.replace("ids =", "id ="), "[recommenders] unknown key 'id'; allowed: ids"),
+    ):
+        config.write_text(wrong)
+        with pytest.raises(ConfigError, match=re.escape(f"{config}: {message}")):
+            load_config(config)
 
 
 def test_config_value_validation(tmp_path, dataset):

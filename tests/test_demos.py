@@ -34,3 +34,16 @@ def test_readme_quick_start_runs(tmp_path):
     result = _run_python(["-c", block], tmp_path)
     assert result.returncode == 0, result.stderr
     assert "recommender\tndcg@10" in result.stdout
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "experiment.ini").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cli = ["-m", "marketrec.cli"]
+    generated = _run_python([*cli, "generate", "--users", "60", "--clusters", "3", "--out", "data"], tmp_path)
+    assert generated.returncode == 0, generated.stderr
+    result = _run_python([*cli, "run", "--config", "experiment.ini"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    report = (tmp_path / "results" / "products" / "report.tsv").read_text(encoding="utf-8").splitlines()
+    names = [line.split("\t")[0] for line in report[1:]]
+    assert names == ["most_popular", "sn.graph.no", "mp.purchases.jaccard", "all_sources"]

@@ -17,13 +17,13 @@ from marketrec.recommender import (
     popularity_counts,
     weighted_sum_hybrid,
 )
-from marketrec.simfeatures import SimilarityContext, SimilarityMatrixSlice, top_n
+from marketrec.simfeatures import EntitySets, SimilarityContext, SimilarityMatrixSlice, top_n
 
 from helpers import make_corpus
 import oracles
 
 
-# Every user the CF tests name, sorted: slices index it, and a dict of purchase sets is read over the slice's list.
+# Every user the CF tests name, sorted: slices index it, and so do the purchase sets built over it.
 USERS = ("a", "b", "c", "d", "e", "t", "v", "v1", "v2", "v3", "v4", "w")
 
 
@@ -140,7 +140,7 @@ def test_list_items_maps_products_to_the_items_of_each_kind():
 
 def test_cf_products_sums_neighbour_similarities():
     slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
-    owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p2"}), "t": frozenset()}
+    owned = EntitySets({"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p2"}), "t": frozenset()}, USERS)
     result = cf_products(slice_, owned, 10)
     assert result.item_ids() == ("p2", "p1")
     assert dict(result.items) == pytest.approx({"p2": 0.8, "p1": 0.5})
@@ -148,15 +148,25 @@ def test_cf_products_sums_neighbour_similarities():
 
 def test_cf_products_excludes_already_owned():
     slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
-    owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p2"}), "t": frozenset({"p2"})}
+    owned = EntitySets({"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p2"}), "t": frozenset({"p2"})}, USERS)
     result = cf_products(slice_, owned, 10)
     assert result.items == (("p1", 0.5),)
 
 
 def test_cf_products_empty_slice_gives_empty_list():
-    result = cf_products(SimilarityMatrixSlice.from_pairs("t", (), USERS), {}, 10)
+    result = cf_products(SimilarityMatrixSlice.from_pairs("t", (), USERS), EntitySets({}, USERS), 10)
     assert result.items == ()
     assert result.target == "t"
+
+
+def test_cf_rejects_purchase_sets_not_from_a_context():
+    # a plain mapping would need its product index rebuilt on every call
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5),), USERS)
+    owned = {"v1": frozenset({"p1"}), "t": frozenset()}
+    corpus = make_corpus(products=[("p1", "s", ("A",))], purchases=[("v1", "p1")])
+    for call in (cf_products, cf_candidate_scores, lambda s, o: cf_categories(s, corpus, o, "top_category")):
+        with pytest.raises(TypeError, match=r"SimilarityContext\.entity_sets, got dict"):
+            call(slice_, owned)
 
 
 def test_negative_list_length_is_rejected():
@@ -164,7 +174,7 @@ def test_negative_list_length_is_rejected():
     with pytest.raises(ValueError, match="n must be >= 0"):
         top_n({"a": 3.0, "b": 2.0, "c": 1.0}, -1)
     slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
-    owned = {"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}
+    owned = EntitySets({"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}, USERS)
     with pytest.raises(ValueError, match="n must be >= 0"):
         cf_products(slice_, owned, -1)
     corpus = make_corpus(
@@ -202,7 +212,7 @@ def test_cf_products_matches_exhaustive_oracle(small_corpus):
     expected = oracles.ranked(oracles.cf_product_scores(slice_.scored, owned, set()), 10)
     assert expected == [("pa", 0.6), ("pb", 0.6)]
     frozen = {user: frozenset(items) for user, items in owned.items()}
-    assert list(cf_products(slice_, frozen, 10).items) == expected
+    assert list(cf_products(slice_, EntitySets(frozen, USERS), 10).items) == expected
 
 
 def test_cf_categories_frequency_shares():
@@ -211,7 +221,7 @@ def test_cf_categories_frequency_shares():
         purchases=[("v", "p1"), ("v", "p2"), ("v", "p3")],
     )
     slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 1.0),), USERS)
-    owned = {"v": frozenset({"p1", "p2", "p3"}), "t": frozenset()}
+    owned = EntitySets({"v": frozenset({"p1", "p2", "p3"}), "t": frozenset()}, USERS)
     result = cf_categories(slice_, corpus, owned, "top_category", 10)
     assert result.items == (("A", pytest.approx(2 / 3)), ("B", pytest.approx(1 / 3)))
     assert result.kind == "top_category"
@@ -225,7 +235,7 @@ def test_cf_categories_all_uncategorized_gives_empty():
         purchases=[("v", "p1"), ("v", "p2")],
     )
     slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 1.0),), USERS)
-    owned = {"v": frozenset({"p1", "p2"}), "t": frozenset()}
+    owned = EntitySets({"v": frozenset({"p1", "p2"}), "t": frozenset()}, USERS)
     assert cf_categories(slice_, corpus, owned, "low_category", 10).items == ()
 
 
@@ -241,7 +251,7 @@ def test_cf_categories_uses_untruncated_candidates_and_levels():
         purchases=[("v", "p1"), ("v", "p2"), ("w", "p3"), ("w", "p4")],
     )
     slice_ = SimilarityMatrixSlice.from_pairs("t", (("v", 0.9), ("w", 0.1)), USERS)
-    owned = {"v": frozenset({"p1", "p2"}), "w": frozenset({"p3", "p4"}), "t": frozenset()}
+    owned = EntitySets({"v": frozenset({"p1", "p2"}), "w": frozenset({"p3", "p4"}), "t": frozenset()}, USERS)
     top = cf_categories(slice_, corpus, owned, "top_category", 1)
     assert top.items == (("A", pytest.approx(3 / 4)),)
     low = cf_categories(slice_, corpus, owned, "low_category", 10)
@@ -283,7 +293,7 @@ def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, kind
             counts[path[position]] = counts.get(path[position], 0) + 1
     total = sum(counts.values())
     shares = {category: count / total for category, count in counts.items()}
-    result = cf_categories(slice_, corpus, owned, kind, n)
+    result = cf_categories(slice_, corpus, EntitySets(owned, USERS), kind, n)
     assert list(result.items) == oracles.ranked(shares, n)
 
 
@@ -302,7 +312,7 @@ def test_cf_categories_shares_over_oracle_candidate_pool(owned, neighbours, kind
 def test_cf_candidate_scores_matches_oracle(owned, neighbours):
     slice_ = SimilarityMatrixSlice.from_pairs("t", tuple(sorted(neighbours, key=lambda e: (-e[1], e[0]))), USERS)
     target_owned = owned.get("t", frozenset())
-    scores = cf_candidate_scores(slice_, owned)
+    scores = cf_candidate_scores(slice_, EntitySets(owned, USERS))
     expected = oracles.cf_product_scores(slice_.scored, owned, target_owned)
     assert scores == expected
     assert list(scores) == list(expected)  # the same insertion order too
@@ -329,7 +339,7 @@ def test_cf_products_matches_oracle_ranking(owned, neighbours, length, from_cont
     slice_ = SimilarityMatrixSlice.from_pairs("t", scored, USERS)
     pool = oracles.cf_product_scores(slice_.scored, owned, owned.get("t", frozenset()))
     n = {"zero": 0, "one": 1, "pool": len(pool), "past": len(pool) + 3, "all": None}[length]
-    purchase_sets = owned
+    purchase_sets = EntitySets(owned, USERS)
     if from_context:
         corpus = make_corpus(
             products=[(pid, "s", ()) for pid in CF_PRODUCTS],
@@ -392,7 +402,7 @@ def test_cf_categories_matches_shares_counted_here(owned, neighbours, kind, n):
             counts[path[level]] = counts.get(path[level], 0) + 1
     total = sum(counts.values())
     expected = oracles.ranked({category: count / total for category, count in counts.items()}, n)
-    assert list(cf_categories(slice_, corpus, owned, kind, n).items) == expected
+    assert list(cf_categories(slice_, corpus, EntitySets(owned, USERS), kind, n).items) == expected
 
 
 def test_cf_categories_reads_the_product_table_it_is_given():
@@ -413,7 +423,7 @@ def test_cf_lists_of_one_slice_in_turn_match_lists_made_alone(small_corpus):
     for target in context.users[::5]:
         for feature_id in ("mp.purchases.jaccard", "sn.graph.aa"):
             slice_ = context.k_nearest(feature_id, target, 8)
-            alone = cf_categories(slice_, small_corpus, dict(purchase_sets), "low_category", 10)
+            alone = cf_categories(slice_, small_corpus, EntitySets(purchase_sets, context.users), "low_category", 10)
             assert cf_categories(slice_, small_corpus, purchase_sets, "low_category", 10) == alone
             expected = oracles.cf_product_scores(slice_.scored, owned, owned.get(target, set()))
             assert list(cf_products(slice_, purchase_sets, 10).items) == oracles.ranked(expected, 10)
@@ -544,7 +554,7 @@ def test_hybrid_scaling_invariance_random_cases():
 
 
 def test_eq10_monotonicity_adding_owner_never_decreases_score():
-    owned = {"v1": frozenset({"p1"}), "v2": frozenset({"p1", "p2"}), "t": frozenset()}
+    owned = EntitySets({"v1": frozenset({"p1"}), "v2": frozenset({"p1", "p2"}), "t": frozenset()}, USERS)
     small = cf_products(SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5),), USERS), owned, 10)
     grown = cf_products(SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.2)), USERS), owned, 10)
     assert dict(grown.items)["p1"] >= dict(small.items)["p1"]
