@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -83,35 +82,19 @@ def most_popular(
 
 
 def _cf_sums(slice_: SimilarityMatrixSlice, sets: EntitySets):
-    """The neighbours' product positions in slice order, and each position's CF sum.
-
-    One index expression gathers them from the sets' CSR form, and ``np.bincount`` adds in slice order,
-    bit-identical to tests/oracles.py. The target's products read 0. ``sets`` comes from
-    SimilarityContext.entity_sets, a plain mapping raises TypeError; its ``users`` must be the slice's
-    ``universe`` or equal to it (compared by value only when the lists differ as objects), or ValueError.
-    """
+    """``sets.cf_sums(slice_)``: TypeError unless ``sets`` is an EntitySets of SimilarityContext.entity_sets, and
+    ValueError unless its ``users`` is the slice's ``universe`` or equal to it (by value only if another list)."""
     if not isinstance(sets, EntitySets):
         raise TypeError(f"purchase sets must come from SimilarityContext.entity_sets, got {type(sets).__name__}")
     if sets.users is not slice_.universe and sets.users != slice_.universe:
         raise ValueError("the slice and the purchase sets are over different user lists")
-    last = sets.last_sums  # an evaluation engine asks for one slice's category list, then its product list
-    if last[0] is slice_:
-        return last[1], last[2]
-    products, indptr, indices = sets.positions
-    starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
-    lens = ends - starts
-    flat = indices[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
-    sums = np.bincount(flat, slice_.scores.repeat(lens), len(products))
-    t = bisect_left(slice_.universe, slice_.target)
-    sums[indices[indptr[t]:indptr[t + 1]]] = 0.0
-    sets.last_sums = (slice_, flat, sums)
-    return flat, sums
+    return sets.cf_sums(slice_)
 
 
 def cf_candidate_scores(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets) -> dict[str, float]:
     """Each product a neighbour owns and the target does not -> its owners' similarities, summed in slice order."""
     flat, sums = _cf_sums(slice_, purchase_sets)
-    return {purchase_sets.positions[0][p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
+    return {purchase_sets.ids[p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
 
 
 def cf_products(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets, n: int = DEFAULT_N) -> RecommendationList:
@@ -123,7 +106,7 @@ def cf_products(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets, n: int
     _, sums = _cf_sums(slice_, purchase_sets)
     candidates = sums.nonzero()[0]  # ascending positions, so ties break by ascending id
     positions, scores = best_first(candidates, sums[candidates], n)
-    names = map(purchase_sets.positions[0].__getitem__, positions.tolist())
+    names = map(purchase_sets.ids.__getitem__, positions.tolist())
     return RecommendationList(target=slice_.target, kind="product", items=tuple(zip(names, scores.tolist())))
 
 
@@ -138,19 +121,13 @@ def cf_categories(
 
     The pool is every product a neighbour owns and the target does not: the nonzero CF sums. Each
     adds its category of ``kind`` ("top_category" or "low_category") once, an uncategorized one none,
-    and a category scores its share of them. The purchase sets keep per kind and product table the
-    sorted category ids' codes by product position, so one ``np.bincount`` counts, and ties break by id.
+    and a category scores its share of them. ``purchase_sets.codes`` keeps per extractor and product table
+    the sorted category ids' codes by product position, so one ``np.bincount`` counts, and ties break by id.
     """
     if _EXTRACTOR_BY_KIND.get(kind) is None:
         raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
     _, sums = _cf_sums(slice_, purchase_sets)
-    kept = purchase_sets.category_codes
-    if kept.get(kind, (None,))[0] is not corpus.products:
-        found = list(map(_EXTRACTOR_BY_KIND[kind], map(corpus.products.__getitem__, purchase_sets.positions[0])))
-        categories = sorted(set(found) - {None})
-        at = {category: i for i, category in enumerate(categories)}  # len(at) codes no category
-        kept[kind] = (corpus.products, categories, np.array([at.get(c, len(at)) for c in found], int))
-    _, categories, codes = kept[kind]
+    categories, codes = purchase_sets.codes(_EXTRACTOR_BY_KIND[kind], corpus.products)
     counts = np.bincount(codes[sums > 0], minlength=len(categories) + 1)[:-1]
     present = counts.nonzero()[0]
     positions, shares = best_first(present, counts[present] / counts.sum(), n)

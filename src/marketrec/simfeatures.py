@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -147,34 +147,70 @@ def best_first(positions: np.ndarray, scores: np.ndarray, n: Optional[int]) -> t
 
 
 class EntitySets(dict):
-    """User -> entity set, as corpus.entity_sets maps them, over sorted ids ``users``; the sets must not change."""
+    """User -> entity set, as corpus.entity_sets maps them, over sorted ids ``users``; the sets must not change.
+
+    The sets are the one home of their index: ``ids``, the sorted entity ids, so entity position i names ids[i];
+    ``csr``, CSR ``indptr`` and int32 ``indices`` of users[i]'s entity positions in set order; and ``degrees``,
+    each user's entity count. Content k-NN reads ``degrees`` and ``shared_counts`` as it reads a graph's, and CF
+    reads ``cf_sums``, ``codes`` and ``ids``.
+    """
 
     def __init__(self, sets: Mapping[str, frozenset[str]], users: Sequence[str]):
         super().__init__(sets)
         self.users = users
-        self.category_codes: dict = {}  # kept by recommender.cf_categories
-        self.last_sums: tuple = (None,)  # kept by recommender._cf_sums
+        held = [self.get(user, ()) for user in users]
+        self.ids = sorted(set().union(*held))
+        at = {entity: i for i, entity in enumerate(self.ids)}.__getitem__
+        indptr = np.cumsum([0, *map(len, held)])
+        self.csr = indptr, np.fromiter(map(at, chain.from_iterable(held)), np.int32, indptr[-1])
+        self.degrees = np.diff(indptr)
+        self._codes: dict = {}  # extractor -> (product table, sorted category ids, each entity's code)
+        self._last_sums: tuple = (None,)  # the latest slice, its neighbours' entity positions and CF sums
 
     @cached_property
-    def positions(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Sorted entity ids, and CSR ``indptr`` and int32 ``indices``: users[i]'s positions in them in set order."""
-        sets = [self.get(user, ()) for user in self.users]
-        ids = sorted(set().union(*sets))
-        at = {entity: i for i, entity in enumerate(ids)}.__getitem__
-        indptr = np.cumsum([0, *map(len, sets)])
-        return ids, indptr, np.fromiter(map(at, chain.from_iterable(sets)), np.int32, indptr[-1])
+    def holders(self) -> dict[str, np.ndarray]:
+        """The transpose of ``csr``: entity id -> ascending int32 positions of its holders in ``users``."""
+        indices, u = self.csr[1], len(self.users)
+        held = np.sort(indices.astype(np.int64) * u + np.repeat(np.arange(u), self.degrees)) % u  # entity-major
+        ends = np.bincount(indices, minlength=len(self.ids)).cumsum()
+        return dict(zip(self.ids, np.split(held.astype(np.int32), ends[:-1])))
 
-    @cached_property
-    def holders(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Entity id -> ascending int32 positions of its holders in ``users``, and each user's entity count."""
-        ids, indptr, indices = self.positions
-        u, sizes = len(self.users), np.diff(indptr)
-        held = np.sort(indices.astype(np.int64) * u + np.repeat(np.arange(u), sizes)) % u  # by entity, then user
-        ends = np.bincount(indices, minlength=len(ids)).cumsum()
-        return dict(zip(ids, np.split(held.astype(np.int32), ends[:-1]))), sizes
+    def shared_counts(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the users sharing an entity with ``users[t]``, ascending, and how many they share:
+        one ``np.bincount`` of the holders of the target's entities."""
+        held = list(map(self.holders.__getitem__, self.get(self.users[t], ())))
+        counts = np.bincount(np.concatenate(held) if held else held, minlength=len(self.users))
+        counts[t] = 0
+        shared = np.flatnonzero(counts)
+        return shared, counts[shared]
 
+    def cf_sums(self, slice_: SimilarityMatrixSlice) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbours' entity positions in slice order, and each position's CF sum, the target's entities at 0.
 
-_NO_SCORES = (np.empty(0, np.intp), np.empty(0))
+        One index expression gathers them from ``csr``, and one ``np.bincount`` adds in slice order, bit-identical
+        to tests/oracles.py. The latest slice's sums are kept: an evaluation engine asks for one slice's category
+        list, then its product list.
+        """
+        if self._last_sums[0] is not slice_:
+            indptr, indices = self.csr
+            starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
+            lens = ends - starts
+            flat = indices[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
+            sums = np.bincount(flat, slice_.scores.repeat(lens), len(self.ids))
+            t = bisect_left(self.users, slice_.target)
+            sums[indices[indptr[t]:indptr[t + 1]]] = 0.0
+            self._last_sums = (slice_, flat, sums)
+        return self._last_sums[1:]
+
+    def codes(self, extract: Callable, products: Mapping) -> tuple[list[str], np.ndarray]:
+        """The sorted ids of the categories that ``extract`` finds for the entities in ``products``, and each entity's
+        code, len(categories) for none; kept per extractor while ``products`` is the same table."""
+        if self._codes.get(extract, (None,))[0] is not products:
+            found = list(map(extract, map(products.__getitem__, self.ids)))
+            categories = sorted(set(found) - {None})
+            at = {category: i for i, category in enumerate(categories)}
+            self._codes[extract] = (products, categories, np.array([at.get(c, len(at)) for c in found], int))
+        return self._codes[extract][1:]
 
 
 class SimilarityContext:
@@ -183,7 +219,7 @@ class SimilarityContext:
     Everything is derived from an immutable corpus, so a context is safe for
     concurrent reads once built. Graphs and indexes are built on first use.
     Content indexes and slices hold positions in ``users``, the corpus users
-    sorted by id; a graph built from the corpus orders its rows the same way.
+    sorted by id; ``graph`` raises ValueError unless a graph has these users.
     """
 
     def __init__(self, corpus: Corpus):
@@ -194,12 +230,14 @@ class SimilarityContext:
 
     def graph(self, name: str) -> InteractionGraph:
         if name not in self._graphs:
-            if name == "social":
-                self._graphs[name] = build_social_graph(self.corpus)
-            elif name == "colocation":
-                self._graphs[name] = build_colocation_graph(self.corpus)
-            else:
+            build = {"social": build_social_graph, "colocation": build_colocation_graph}.get(name)
+            if build is None:
                 raise ValueError(f"unknown graph: {name!r}")
+            graph = build(self.corpus)
+            if graph.users != self.users:  # its rows would not be the positions of the corpus users
+                outside = next(user for user in graph.users if user not in self.corpus.users)
+                raise ValueError(f"the {name} graph links {outside!r}, who is not among the corpus users")
+            self._graphs[name] = graph
         return self._graphs[name]
 
     def entity_sets(self, kind: str) -> EntitySets:
@@ -224,41 +262,31 @@ class SimilarityContext:
     def _scores(self, spec: FeatureSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in ``users`` of the users scoring above 0 against ``users[t]``, and their scores.
 
-        Each score is bit-identical to the definition in tests/oracles.py.
-        ``directed`` is the larger of the two one-directional counts, so that
-        it yields a neighbourhood like every other feature.
+        Every family reads one source, a graph or the entity sets, through its ``degrees`` and one kernel.
+        Each score is bit-identical to the definition in tests/oracles.py. ``directed`` is the larger of the
+        two one-directional counts, so that it yields a neighbourhood like every other feature.
         """
-        if spec.graph is None:
-            holders, size = self.entity_sets(spec.entity_kind).holders
-            own = self.entity_sets(spec.entity_kind)[self.users[t]]
-            if not own:
-                return _NO_SCORES
-            counts = np.bincount(np.concatenate([holders[e] for e in own]), minlength=len(self.users))
-            n = len(own)
-            counts[t] = 0
-            # under total every other user scores at least n, sharing or not
-            v = np.delete(np.arange(len(counts)), t) if spec.feature == "total" else np.flatnonzero(counts)
-            c = counts[v]
-        else:
-            graph = self.graph(spec.graph)
-            size = graph.degrees
-            n = int(size[t])
-            if not n:
-                return _NO_SCORES
-            if spec.feature == "pa":
-                v = np.flatnonzero(size)
-                v = v[v != t]
-                return v, (n * size[v]).astype(float)
-            if spec.feature == "aa":
-                return graph.adamic_adar(t)
-            # every user two hops away shares c >= 1 neighbours with the target, and every neighbour interacted
-            v, c = graph.pair_counts(t) if spec.feature == "directed" else graph.shared_counts(t)
-        if spec.feature in ("common", "cn", "directed"):
-            scores = c.astype(float)
-        elif spec.feature == "jaccard":
-            scores = c / (n + size[v] - c)
-        elif spec.feature == "no":
-            scores = c / (n + size[v])
-        else:
-            scores = (n + size[v] - c).astype(float)
-        return v, scores
+        source = self.entity_sets(spec.entity_kind) if spec.graph is None else self.graph(spec.graph)
+        size = source.degrees
+        n = int(size[t])
+        if not n:
+            return np.empty(0, np.intp), np.empty(0)
+        if spec.feature == "pa":
+            v = np.flatnonzero(size)
+            v = v[v != t]
+            return v, (n * size[v]).astype(float)
+        if spec.feature == "aa":
+            return source.adamic_adar(t)
+        # each c >= 1: users two hops away share a neighbour or an entity, and every neighbour interacted
+        v, c = source.pair_counts(t) if spec.feature == "directed" else source.shared_counts(t)
+        if spec.feature == "total":  # every other user scores n + its size, less what it shares: at least n
+            totals = n + size
+            totals[v] -= c
+            totals[t] = 0
+            v = np.flatnonzero(totals)
+            return v, totals[v].astype(float)
+        if spec.feature == "jaccard":
+            return v, c / (n + size[v] - c)
+        if spec.feature == "no":
+            return v, c / (n + size[v])
+        return v, c.astype(float)  # common, cn and directed

@@ -1,4 +1,5 @@
-"""The package depends on the standard library and numpy only, and only graphs.py reads packed graph rows."""
+"""The package depends on the standard library and numpy only; only graphs.py reads packed graph rows, and only
+simfeatures.py reads the entity index of an EntitySets."""
 
 import ast
 import sys
@@ -47,3 +48,43 @@ def test_only_graphs_reads_packed_rows():
                 continue
             found += [f"{path.name}:{node.lineno} uses {name}" for name in sorted(names)]
     assert found == []
+
+
+# the entity index is simfeatures.py's format: other modules ask an EntitySets for these, never read its index or memo
+ENTITY_SETS_API = {"users", "ids", "degrees", "shared_counts", "cf_sums", "codes"}
+CSR_NAMES = {"indptr", "indices"}
+
+
+def entity_sets_attributes() -> set[str]:
+    """Every attribute that simfeatures.EntitySets defines: its methods and properties, and what it assigns on self."""
+    tree = ast.parse((PACKAGE / "simfeatures.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "EntitySets")
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)} - {"__init__"}
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and ast.unparse(node.value) == "self":
+            names.add(node.attr)
+    return names
+
+
+def test_only_simfeatures_reads_the_entity_index():
+    attributes = entity_sets_attributes()
+    internal = attributes - ENTITY_SETS_API
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "simfeatures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                # an object sets its own attributes: a graph's ``self.degrees`` is not an EntitySets'
+                if not isinstance(node.ctx, ast.Load) and node.attr in attributes and ast.unparse(node.value) != "self":
+                    found.append(f"{path.name}:{node.lineno} assigns .{node.attr}")
+                names = {node.attr} & (internal | CSR_NAMES)
+            elif isinstance(node, ast.Name):
+                names = {node.id} & CSR_NAMES
+            elif isinstance(node, ast.arg):
+                names = {node.arg} & CSR_NAMES
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} uses {name}" for name in sorted(names)]
+    assert found == []
+    assert {"csr", "holders"} <= internal and ENTITY_SETS_API <= attributes  # the check knows the index it guards

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marketrec import graphs
-from marketrec.corpus import load_corpus
+from marketrec.corpus import ENTITY_KINDS, load_corpus
 from marketrec.recommender import cf_categories, cf_products
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
@@ -453,8 +454,7 @@ def test_cf_rejects_a_slice_over_another_user_list(small_corpus):
 def test_entity_set_holders_transpose_positions(small_corpus, kind):
     sets = SimilarityContext(small_corpus).entity_sets(kind)
     users = sorted(small_corpus.users)
-    ids, indptr, indices = sets.positions
-    holders, sizes = sets.holders
+    ids, (indptr, indices), holders = sets.ids, sets.csr, sets.holders
     assert sets.users == users and ids == sorted(set().union(*sets.values()))
     assert indptr[0] == 0 and len(indptr) == len(users) + 1 and indices.dtype == np.int32
     transposed = {}
@@ -465,8 +465,37 @@ def test_entity_set_holders_transpose_positions(small_corpus, kind):
             transposed.setdefault(ids[entity], []).append(i)
     assert {entity: p.tolist() for entity, p in holders.items()} == transposed
     assert all(p.dtype == np.int32 for p in holders.values())
-    assert sizes.tolist() == [len(sets[user]) for user in users]
+    assert sets.degrees.tolist() == [len(sets[user]) for user in users]
     assert sets.holders is sets.holders
+
+
+@pytest.mark.parametrize("kind", ENTITY_KINDS)
+def test_entity_set_shared_counts_match_set_intersections(small_corpus, kind):
+    """A seeded sample of targets and one user holding no entity, against |sets[u] & sets[target]| for every u."""
+    corpus = dataclasses.replace(small_corpus, users=small_corpus.users | {"zz-no-entities"})
+    sets = SimilarityContext(corpus).entity_sets(kind)
+    users = sets.users
+    for t in [*random.Random(7).sample(range(len(users)), 10), users.index("zz-no-entities")]:
+        own = sets.get(users[t], frozenset())
+        shared = [(u, len(sets.get(user, frozenset()) & own)) for u, user in enumerate(users) if u != t]
+        positions, counts = sets.shared_counts(t)
+        assert positions.dtype == counts.dtype == np.int64
+        assert list(zip(positions.tolist(), counts.tolist())) == [(u, c) for u, c in shared if c]
+
+
+@pytest.mark.parametrize(
+    "feature, name, rows",
+    [
+        ("sn.graph.pa", "social", {"social": [("a", "b", "love"), ("b", "c", "love"), ("a", "0", "love")]}),
+        ("loc.graph.pa", "colocation", {"locations": [(user, "l1", "monitored", "e1") for user in "ab0"]}),
+    ],
+)
+def test_graph_linking_a_user_outside_the_corpus_users_is_rejected(feature, name, rows):
+    """A graph sorts its own users, so a linked "0" would shift every row against the corpus users' positions."""
+    context = SimilarityContext(dataclasses.replace(make_corpus(**rows), users=frozenset("abc")))
+    for _ in range(2):  # the graph is not cached on the way out
+        with pytest.raises(ValueError, match=f"the {name} graph links '0', who is not among the corpus users"):
+            context.k_nearest(feature, "b")
 
 
 def test_k_nearest_matches_bruteforce_oracle(small_corpus):
