@@ -17,6 +17,8 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Optional, Sequence, TypeVar, Union
 
+import numpy as np
+
 from .corpus import PURCHASE_KINDS, Corpus, Product, with_purchases
 from .recommender import (
     DEFAULT_N,
@@ -39,6 +41,7 @@ HOLDOUT_SIZE = 10
 CURVE_KS = tuple(range(1, 11))
 
 _Item = TypeVar("_Item")
+_DIVERSITY_ROWS = 128  # lists per diversity pass: about 0.3 MB of pair arrays at n = 10
 
 
 @dataclass(frozen=True)
@@ -101,26 +104,44 @@ def _withhold(purchases, seed: int, count: Callable[[str, int], int]) -> Split:
     return Split(training=training, test=test, eligible=frozenset(test), seed=seed)
 
 
-def _hits(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> Collection[int]:
-    """Ascending positions 1..k of the relevant items in the top k; a repeated item hits once, first."""
+def _hit_row(recommended: Sequence[str], relevant: Collection[str], k: int) -> list[bool]:
+    """Whether each position 1..k holds a relevant item, padded False; a repeated item hits once, first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    hits: dict[str, int] = {}
-    for position, item in enumerate(recommended[:k], start=1):
-        if item in relevant and item not in hits:
-            hits[item] = position
-    return hits.values()
+    row, seen = [False] * k, set()
+    for position, item in enumerate(recommended[:k]):
+        if item in relevant and item not in seen:
+            row[position] = True
+            seen.add(item)
+    return row
+
+
+def _accuracy_sums(hits: list[bool], sizes: list[int], k: int, width: int) -> list:
+    """nDCG@k, and recall and precision at cut-offs 1..width, each summed over the lists in order.
+
+    ``hits`` holds one _hit_row of ``width`` per list and ``sizes`` each list's
+    number of relevant items. The hit at position p gains 1/log2(1 + p), over
+    the ideal DCG of min(size, k) hits; with nothing relevant, nDCG and recall are 0.
+    """
+    hits = np.array(hits, dtype=bool).reshape(-1, width)
+    sizes = np.array(sizes, dtype=np.int64)[:, None]
+    discounts = np.array([1.0 / math.log2(1 + position) for position in range(1, k + 1)])
+    # a list with nothing relevant has no hit, so the ideal DCG of k hits gives it 0 as well
+    ideal = np.cumsum(discounts)[np.minimum(sizes[:, 0], k) - 1]
+    ndcg = np.cumsum(hits[:, :k] * discounts, axis=1)[:, -1] / ideal
+    counts = np.cumsum(hits, axis=1)
+    recall = np.divide(counts, sizes, out=np.zeros(counts.shape), where=sizes > 0)
+    return [_ordered_sums(rows) for rows in (ndcg, recall, counts / np.arange(1, width + 1))]
 
 
 def recall_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by the number of relevant items (0 if none)."""
-    hits = _hits(recommended, relevant, k)
-    return len(hits) / len(relevant) if relevant else 0.0
+    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, k)[1][-1]
 
 
 def precision_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by k, even when fewer items were produced."""
-    return len(_hits(recommended, relevant, k)) / k
+    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, k)[2][-1]
 
 
 def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
@@ -129,16 +150,7 @@ def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k
     The ideal ranking places min(|relevant|, k) relevant items on top; returns
     0 when there are no relevant items.
     """
-    dcg = 0.0
-    for position in _hits(recommended, relevant, k):
-        dcg += 1.0 / math.log2(1 + position)
-    ideal = min(len(relevant), k)
-    if ideal == 0:
-        return 0.0
-    idcg = 0.0
-    for position in range(1, ideal + 1):
-        idcg += 1.0 / math.log2(1 + position)
-    return dcg / idcg
+    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, k)[0]
 
 
 def category_distance(a: Product, b: Product) -> float:
@@ -170,20 +182,38 @@ def diversity_at_k(
     """
     if k is not None and k < 0:
         raise ValueError(f"k must be >= 0 or None, got {k}")
-    items = list(recommended[:k]) if k is not None else list(recommended)
-    m = len(items)
-    if m < 2:
-        return 0.0
-    rows = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = distance(items[i], items[j])
-    # adding the 0.0 diagonal leaves every partial sum unchanged
-    total = 0.0
-    for row in rows:
-        for value in row:
-            total += value
-    return total / (m * (m - 1))
+    items = list(recommended[:k])
+    positions = np.arange(len(items))[None, :]
+    return _ordered_sums(_diversity_rows(positions, lambda a, b: distance(items[a], items[b])))
+
+
+def _diversity_rows(items: np.ndarray, distance: Callable[[int, int], float]) -> np.ndarray:
+    """Mean distance over the ordered position pairs of each row of codes (-1 pads).
+
+    Each row adds its distance matrix in row-major order, 0.0 on the diagonal and at pads;
+    ``distance`` gets each unordered pair of codes present once per pass, lower code first.
+    """
+    if len(items) > _DIVERSITY_ROWS:
+        passes = range(0, len(items), _DIVERSITY_ROWS)
+        return np.concatenate([_diversity_rows(items[i : i + _DIVERSITY_ROWS], distance) for i in passes])
+    rows, width = items.shape
+    first, second = np.triu_indices(width, 1)  # one row per position pair i < j, one column per list
+    low, high = np.minimum(items.T[first], items.T[second]), np.maximum(items.T[first], items.T[second])
+    present = low >= 0  # a pad (-1) is the lower code
+    pairs, inverse = np.unique(low[present].astype(np.int64) << 32 | high[present], return_inverse=True)
+    codes = zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist())
+    distances = np.zeros((len(first) + 1, rows))  # the last row serves the diagonal
+    distances[:-1][present] = np.array([distance(a, b) for a, b in codes], dtype=float)[inverse]
+    slots = np.full((width, width), len(first))
+    slots[first, second] = slots[second, first] = np.arange(len(first))
+    totals = np.cumsum(distances[slots.ravel()], axis=0)[-1] if width else np.zeros(rows)
+    m = np.count_nonzero(items >= 0, axis=1)
+    return np.divide(totals, m * (m - 1), out=np.zeros(rows), where=m > 1)
+
+
+def _ordered_sums(rows: np.ndarray):
+    """Column sums of ``rows`` added top to bottom, as a loop adds (np.sum adds pairwise)."""
+    return (np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(rows.shape[1:])).tolist()
 
 
 @dataclass(frozen=True)
@@ -316,71 +346,56 @@ class _Engine:
 def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     """Run one recommender over all eligible users and aggregate the metrics.
 
-    Accuracy reads the task lists; coverage and diversity read the product
-    lists, which on the products task are the task lists. Returns the report
-    row, the curve points, and diagnostic counts. Accumulation iterates users
-    in sorted order so results do not depend on evaluation scheduling.
+    Accuracy reads the task lists' hit rows; coverage and diversity read the
+    product lists (on the products task, the task lists) as category-class
+    codes. Users go in sorted order. Returns the report row, the curve points,
+    and diagnostic counts.
     """
     name = _display_id(rec)
     eligible = sorted(engine.split.eligible)
     n = engine.n
-    recall_sums = {k: 0.0 for k in CURVE_KS}
-    precision_sums = {k: 0.0 for k in CURVE_KS}
-    ndcg_sum = recall_n = precision_n = diversity_sum = 0.0
-    served_products = served_task = short_product_lists = 0
+    width = max(n, len(CURVE_KS))
     codes, class_distance = engine.category_classes
+    hits, classes, sizes = [], [], []  # hit rows, product-list class rows, relevant-set sizes
+    served_products = served_task = short_product_lists = 0
 
     for user in eligible:
+        # a user's product list right after their task list keeps CF's latest-slice memo warm
         task_list = engine.task_list(rec, task, user)
         product_list = task_list if task == "products" else engine.task_list(rec, "products", user)
-        relevant = engine.relevant(task, user)
-        ids = task_list.item_ids()
-        if len(product_list) > 0:
-            served_products += 1
-        if len(ids) > 0:
-            served_task += 1
-        ndcg_sum += ndcg_at_k(ids, relevant, n)
-        recall_n += recall_at_k(ids, relevant, n)
-        precision_n += precision_at_k(ids, relevant, n)
-        # engine lists never repeat an item: one running hit count serves every curve k
-        hits = 0
-        for k in CURVE_KS:
-            if k <= len(ids) and ids[k - 1] in relevant:
-                hits += 1
-            recall_sums[k] += hits / len(relevant) if relevant else 0.0
-            precision_sums[k] += hits / k
-        product_ids = product_list.item_ids()
-        if len(product_ids) < 2:
-            short_product_lists += 1
-        diversity_sum += diversity_at_k([codes[p] for p in product_ids], class_distance, n)
+        ids, product_ids = task_list.item_ids(), product_list.item_ids()
+        served_task += len(ids) > 0
+        served_products += len(product_ids) > 0
+        short_product_lists += len(product_ids) < 2
+        sizes.append(len(relevant := engine.relevant(task, user)))
+        hits += _hit_row(ids, relevant, width)
+        classes += ([codes[p] for p in product_ids] + [-1] * n)[:n]
 
+    ndcg_sum, recall, precision = _accuracy_sums(hits, sizes, n, width)
+    diversity = _diversity_rows(np.array(classes, dtype=np.int32).reshape(-1, n), class_distance)
     total = len(eligible)
     accuracy_base = total if averaging == "harsh" else served_task
     acc = (lambda s: s / accuracy_base) if accuracy_base else (lambda s: 0.0)
     row = ReportRow(
         recommender=name,
         ndcg=acc(ndcg_sum),
-        precision=acc(precision_n),
-        recall=acc(recall_n),
-        diversity=diversity_sum / total if total else 0.0,
+        precision=acc(precision[n - 1]),
+        recall=acc(recall[n - 1]),
+        diversity=_ordered_sums(diversity) / total if total else 0.0,
         coverage=served_products / total if total else 0.0,
     )
-    curves = [
-        CurvePoint(name, k, acc(recall_sums[k]), acc(precision_sums[k]))
-        for k in CURVE_KS
-    ]
-    diagnostics = {"served": served_task, "short_product_lists": short_product_lists}
-    return row, curves, diagnostics
+    curves = [CurvePoint(name, k, acc(recall[k - 1]), acc(precision[k - 1])) for k in CURVE_KS]
+    return row, curves, {"served": served_task, "short_product_lists": short_product_lists}
 
 
 def _harsh_ndcg(engine: _Engine, rec_id: str, task: str) -> float:
     """Harsh mean nDCG@N of one recommender's task lists: _evaluate's row.ndcg alone."""
     eligible = sorted(engine.split.eligible)
-    ndcg_sum = 0.0
+    hits, sizes = [], []
     for user in eligible:
-        ids = engine.task_list(rec_id, task, user).item_ids()
-        ndcg_sum += ndcg_at_k(ids, engine.relevant(task, user), engine.n)
-    return ndcg_sum / len(eligible) if eligible else 0.0
+        sizes.append(len(relevant := engine.relevant(task, user)))
+        hits += _hit_row(engine.task_list(rec_id, task, user).item_ids(), relevant, engine.n)
+    return _accuracy_sums(hits, sizes, engine.n, engine.n)[0] / len(eligible) if eligible else 0.0
 
 
 def run_experiment(

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 from marketrec import evalharness
 from marketrec.corpus import PURCHASE_KINDS, Product, entity_sets, with_purchases
 from marketrec.evalharness import (
+    AVERAGING_MODES,
     CURVE_KS,
     TASKS,
     EvalReport,
@@ -21,6 +24,7 @@ from marketrec.evalharness import (
     category_distance,
     diversity_at_k,
     format_curves_table,
+    format_metadata_table,
     format_report_table,
     make_split,
     make_weighting_split,
@@ -30,7 +34,7 @@ from marketrec.evalharness import (
     run_experiment,
     write_report,
 )
-from marketrec.recommender import RecommendationList, cf_products
+from marketrec.recommender import TASK_LISTS, RecommendationList, cf_categories, cf_products
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
@@ -407,11 +411,23 @@ def test_withheld_products_absent_from_training_profiles(medium_corpus):
     assert training.locations == medium_corpus.locations
 
 
-def test_metrics_match_naive_reimplementation(medium_corpus):
-    knn_k, n = 10, 10
+def _oracle_relevant(corpus, task, products):
+    """The withheld products, or on a category task their top or lowest categories."""
+    if task == "products":
+        return set(products)
+    level = {"top_categories": 0, "low_categories": -1}[task]
+    paths = (corpus.products[p].category_path for p in products)
+    return {path[level] for path in paths if path}
+
+
+@pytest.mark.parametrize("list_length", [3, 10, 15])
+@pytest.mark.parametrize("task", TASKS)
+def test_metrics_match_naive_reimplementation(monkeypatch, medium_corpus, task, list_length):
+    monkeypatch.setattr(evalharness, "_DIVERSITY_ROWS", 7)  # several diversity passes, the last one short
+    knn_k, n = 10, list_length
     split = make_split(medium_corpus, seed=4)
     report = run_experiment(
-        medium_corpus, split, ["mp.purchases.jaccard"], "products", knn_k=knn_k, list_length=n
+        medium_corpus, split, ["mp.purchases.jaccard"], task, knn_k=knn_k, list_length=n
     )
     row = report.rows[0]
 
@@ -423,15 +439,19 @@ def test_metrics_match_naive_reimplementation(medium_corpus):
     served = 0
     for user in eligible:
         slice_ = context.k_nearest("mp.purchases.jaccard", user, knn_k)
-        ids = list(cf_products(slice_, purchase_sets, n).item_ids())
-        relevant = split.test[user]
-        if ids:
+        product_ids = list(cf_products(slice_, purchase_sets, n).item_ids())
+        ids = product_ids
+        if task != "products":
+            kind = TASK_LISTS[task]
+            ids = list(cf_categories(slice_, medium_corpus, purchase_sets, kind, n).item_ids())
+        relevant = _oracle_relevant(medium_corpus, task, split.test[user])
+        if product_ids:
             served += 1
         recall_sum += oracles.recall(ids, relevant, n)
         precision_sum += oracles.precision(ids, relevant, n)
         ndcg_sum += oracles.ndcg(ids, relevant, n)
         diversity_sum += oracles.diversity(
-            ids,
+            product_ids,
             lambda a, b: oracles.path_distance(
                 medium_corpus.products[a].category_path,
                 medium_corpus.products[b].category_path,
@@ -439,11 +459,11 @@ def test_metrics_match_naive_reimplementation(medium_corpus):
             ),
         )
     total = len(eligible)
-    assert row.recall == pytest.approx(recall_sum / total, **APPROX)
-    assert row.precision == pytest.approx(precision_sum / total, **APPROX)
-    assert row.ndcg == pytest.approx(ndcg_sum / total, **APPROX)
-    assert row.diversity == pytest.approx(diversity_sum / total, **APPROX)
-    assert row.coverage == pytest.approx(served / total, **APPROX)
+    assert row.recall == recall_sum / total
+    assert row.precision == precision_sum / total
+    assert row.ndcg == ndcg_sum / total
+    assert row.diversity == diversity_sum / total
+    assert row.coverage == served / total
 
 
 def test_recall_curve_monotone_in_k(medium_corpus):
@@ -459,19 +479,59 @@ def test_recall_curve_monotone_in_k(medium_corpus):
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_category_task_relevance_and_zeroes():
-    # one eligible user whose withheld products are all uncategorized
+def _uncategorized_corpus():
+    """One eligible user, "u", whose withheld products are all uncategorized."""
     products = [(f"p{i}", "s", ()) for i in range(12)]
     products += [("q1", "s", ("A",)), ("q2", "s", ("A",))]
     purchases = [("u", f"p{i}") for i in range(12)]
     purchases += [("v", "q1"), ("v", "q2"), ("w", "q1")]
-    corpus = make_corpus(products=products, purchases=purchases)
+    return make_corpus(products=products, purchases=purchases)
+
+
+def _ineligible_corpus():
+    """Two buyers of at most 10 products each, so no user is eligible."""
+    products = [(f"p{i}", "s", ("A", f"B{i % 2}")) for i in range(12)]
+    purchases = [("u", f"p{i}") for i in range(10)] + [("v", "p0"), ("v", "p11")]
+    return make_corpus(products=products, purchases=purchases)
+
+
+def test_category_task_relevance_and_zeroes():
+    corpus = _uncategorized_corpus()
     split = make_split(corpus, seed=0)
     assert split.eligible == {"u"}
     report = run_experiment(corpus, split, ["most_popular"], "low_categories")
     row = report.rows[0]
     assert row.ndcg == 0.0 and row.recall == 0.0 and row.precision == 0.0
     assert row.coverage == 1.0  # product recommendations still exist
+
+
+# digest: sha256 of the report, curves and meta tables of every task under both
+# averaging modes, pinned from a plain loop over each list's metrics
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        # empty relevant sets on the category tasks
+        (_uncategorized_corpus, "0e883dee4a70887b3b88e6e614de5402a5c47964c8c84e86ddb1c9aa51df7994"),
+        # no eligible user: every metric averages over nothing
+        (_ineligible_corpus, "52ab71914869df11f12a9c84e4df02863e2ee84068b2f1238a062fe41c73643e"),
+    ],
+    ids=["uncategorized_withheld", "no_eligible_user"],
+)
+def test_degenerate_inputs_keep_their_report_bytes_without_warnings(make, digest):
+    corpus = make()
+    split = make_split(corpus, seed=0)
+    # the derived weights of "h" are all 0, so it serves only empty lists
+    recommenders = ["most_popular", "mp.purchases.jaccard", HybridDef("h", ("mp.purchases.jaccard",))]
+    reports = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for task in TASKS:
+            for averaging in AVERAGING_MODES:
+                report = run_experiment(corpus, split, recommenders, task, averaging=averaging)
+                assert report.metadata["weight.h.mp.purchases.jaccard"] == "0.000000"
+                for table in (format_report_table, format_curves_table, format_metadata_table):
+                    reports.update(table(report).encode())
+    assert reports.hexdigest() == digest
 
 
 def _curve_corpus():
@@ -493,19 +553,15 @@ def test_curve_points_equal_mean_oracle_recall_and_precision(task, list_length):
     recommenders = ["most_popular", "mp.purchases.jaccard"]
     report = run_experiment(corpus, split, recommenders, task, knn_k=3, list_length=list_length)
     engine = _Engine(corpus, split, 3, list_length)
-    level = {"products": None, "top_categories": 0, "low_categories": -1}[task]
     lengths = set()
     for rec_id in recommenders:
         recall_sums, precision_sums = [0.0] * 10, [0.0] * 10
         for user in sorted(split.eligible):
             ids = engine.task_list(rec_id, task, user).item_ids()
             lengths.add(len(ids))
-            relevant = set(split.test[user])
-            if level is not None:
-                paths = (corpus.products[p].category_path for p in split.test[user])
-                relevant = {path[level] for path in paths if path}
-                if user == "bare":
-                    assert relevant == set()
+            relevant = _oracle_relevant(corpus, task, split.test[user])
+            if user == "bare" and task != "products":
+                assert relevant == set()
             for k in CURVE_KS:
                 recall_sums[k - 1] += oracles.recall(ids, relevant, k)
                 precision_sums[k - 1] += oracles.precision(ids, relevant, k)
