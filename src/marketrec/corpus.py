@@ -50,8 +50,10 @@ _HEADERS = {
     "interests": ["user_id", "interest_id"],
     "locations": ["user_id", "location_id", "kind", "event_id"],
 }
-# fields that may be empty, or whose loader names the values they may take
+# fields that may be empty, or whose values _ALLOWED names
 _NOT_REQUIRED = ("category_path", "kind", "event_id")
+# per table, the one field whose values are named, and those values; checked after the non-empty pass
+_ALLOWED = {"social": ("kind", SOCIAL_KINDS), "locations": ("kind", LOCATION_KINDS)}
 
 
 class CorpusError(Exception):
@@ -232,6 +234,8 @@ def _read_rows(path: str | Path, table: str):
     repeat then shares one string object.
     """
     expected = _HEADERS[table]
+    named, values = _ALLOWED.get(table, (expected[0], ()))
+    at = expected.index(named)
     name = str(path)
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -260,6 +264,8 @@ def _read_rows(path: str | Path, table: str):
                 for field, value in zip(expected, row):
                     if not value and field not in _NOT_REQUIRED:
                         raise MalformedRowError(name, line, field, "must be non-empty")
+            if values and row[at] not in values:
+                raise MalformedRowError(name, line, named, f"must be one of {', '.join(values)}")
             yield name, line, list(map(sys.intern, row))
 
 
@@ -301,10 +307,6 @@ def _load_purchases(path, products: Mapping[str, Product]) -> list[Purchase]:
 def _load_social(path) -> list[SocialInteraction]:
     rows = []
     for name, line, (actor_id, target_id, kind) in _read_rows(path, "social"):
-        if kind not in SOCIAL_KINDS:
-            raise MalformedRowError(
-                name, line, "kind", f"must be one of {', '.join(SOCIAL_KINDS)}"
-            )
         if actor_id == target_id:
             raise MalformedRowError(name, line, "target_id", "actor and target must differ")
         rows.append(SocialInteraction(actor_id, target_id, kind))
@@ -320,10 +322,6 @@ def _load_pairs(path, table: str, row_type):
 def _load_locations(path) -> list[LocationRecord]:
     rows = []
     for name, line, (user_id, location_id, kind, event_id) in _read_rows(path, "locations"):
-        if kind not in LOCATION_KINDS:
-            raise MalformedRowError(
-                name, line, "kind", f"must be one of {', '.join(LOCATION_KINDS)}"
-            )
         if kind == "monitored" and not event_id:
             raise MalformedRowError(name, line, "event_id", "must be non-empty")
         if kind != "monitored" and event_id:

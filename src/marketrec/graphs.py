@@ -29,35 +29,37 @@ def row_counts(words: np.ndarray) -> np.ndarray:
 class InteractionGraph:
     """Undirected user graph held as one packed neighbour row per user.
 
-    Each pair in ``edges`` and every two members of each set in ``groups``
-    share an edge. ``pairs`` keeps how often each ordered pair occurs in
-    ``edges``, for ``pair_counts`` (the ``directed`` feature): sorted int64
-    keys actor · U + target over positions in ``users``, their counts, and a
-    last key U² that no pair has, so every search lands inside the array.
-    ``rows`` is a uint8 matrix with one row per entry of ``users``, which is
-    sorted by id. Rows are packed little-endian: bit i of row j (bit i % 8 of
-    byte i // 8) links ``users[i]`` and ``users[j]``. Each row is padded with
-    zero bits to a whole number of 64-bit words, so kernels may read it as
-    uint64.
+    ``users`` is ``vertices`` sorted by id. Each pair in ``edges`` and every
+    two members of each set in ``groups`` share an edge; a ValueError names an
+    endpoint or member that is not a vertex. ``pairs`` keeps how often each
+    ordered pair occurs in ``edges``, for ``pair_counts`` (the ``directed``
+    feature): sorted int64 keys actor · U + target over positions in ``users``,
+    their counts, and a last key U² that no pair has, so every search lands
+    inside the array. ``rows`` is a uint8 matrix with one row per entry of
+    ``users``, packed little-endian: bit i of row j (bit i % 8 of byte i // 8)
+    links ``users[i]`` and ``users[j]``. Each row is padded with zero bits to a
+    whole number of 64-bit words, so kernels may read it as uint64.
     """
 
     def __init__(self, vertices: frozenset[str], edges: Iterable[tuple[str, str]] = (),
                  groups: Iterable[set[str]] = ()):
-        edges, groups = list(edges), list(groups)
         self.vertices = vertices
-        self.users = sorted(vertices.union(chain.from_iterable(edges), *groups))
+        self.users = sorted(vertices)
         self.index = index = {user: i for i, user in enumerate(self.users)}
+        try:
+            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.intp).reshape(-1, 2)
+            cliques = [np.fromiter(map(index.__getitem__, group), np.intp, len(group)) for group in groups]
+        except KeyError as missing:
+            raise ValueError(f"{missing.args[0]!r} is linked but is not a vertex") from None
         u = len(self.users)
         width = -(-u // 64) * 8
         self.rows = rows = np.zeros((u, width), np.uint8)
-        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.intp).reshape(-1, 2)
         if (loops := ends[ends[:, 0] == ends[:, 1], 0]).size:
             raise ValueError(f"self-loop on {self.users[loops[0]]!r}")
         self.pairs = np.unique(np.append(ends[:, 0] * u + ends[:, 1], u * u), return_counts=True)
         ends, others = np.concatenate([ends, ends[:, ::-1]]).T  # each edge in both directions
         np.bitwise_or.at(rows, (ends, others >> 3), (1 << (others & 7)).astype(np.uint8))
-        for group in groups:
-            members = np.fromiter(map(index.__getitem__, group), np.intp, len(group))
+        for members in cliques:
             clique = np.zeros(width * 8, bool)
             clique[members] = True
             clique = np.packbits(clique, bitorder="little")

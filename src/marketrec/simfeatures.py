@@ -218,8 +218,9 @@ class SimilarityContext:
 
     Everything is derived from an immutable corpus, so a context is safe for
     concurrent reads once built. Graphs and indexes are built on first use.
-    Content indexes and slices hold positions in ``users``, the corpus users
-    sorted by id; ``graph`` raises ValueError unless a graph has these users.
+    Content indexes, graph rows and slices hold positions in ``users``, the
+    corpus users sorted by id: each graph's vertices are the corpus users, so
+    ``graph`` raises ValueError for an edge or event that links anyone else.
     """
 
     def __init__(self, corpus: Corpus):
@@ -233,11 +234,7 @@ class SimilarityContext:
             build = {"social": build_social_graph, "colocation": build_colocation_graph}.get(name)
             if build is None:
                 raise ValueError(f"unknown graph: {name!r}")
-            graph = build(self.corpus)
-            if graph.users != self.users:  # its rows would not be the positions of the corpus users
-                outside = next(user for user in graph.users if user not in self.corpus.users)
-                raise ValueError(f"the {name} graph links {outside!r}, who is not among the corpus users")
-            self._graphs[name] = graph
+            self._graphs[name] = build(self.corpus)
         return self._graphs[name]
 
     def entity_sets(self, kind: str) -> EntitySets:

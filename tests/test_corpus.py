@@ -148,6 +148,31 @@ def test_every_loader_error_names_file_line_and_field(tmp_path, table, bad_row, 
     assert str(error).startswith(f"{file}:3: field '{field}': ")
 
 
+_SOCIAL_KIND = "must be one of love, comment, wallpost"
+_LOCATION_KIND = "must be one of favored, shared, monitored"
+
+
+@pytest.mark.parametrize(
+    "table, bad_row, field, message",
+    [
+        ("social", ("u1", "u2", ""), "kind", _SOCIAL_KIND),
+        ("social", ("u1", "u2", "hug"), "kind", _SOCIAL_KIND),
+        ("social", ("", "u2", "hug"), "actor_id", "must be non-empty"),  # the first faulty field
+        ("locations", ("u1", "l1", "", ""), "kind", _LOCATION_KIND),
+        ("locations", ("u1", "l1", "visited", ""), "kind", _LOCATION_KIND),
+    ],
+)
+def test_allowed_value_errors_give_the_full_message(tmp_path, table, bad_row, field, message):
+    # The first record spans lines 2-3 through a quoted id, so the bad row starts on line 4.
+    good = ('"u\n1"', *_GOOD_ROWS[table][1:])
+    path = _write(tmp_path, **{table: [good, bad_row]})
+    with pytest.raises(MalformedRowError) as excinfo:
+        load_corpus(path)
+    error, file = excinfo.value, str(path / f"{table}.csv")
+    assert (error.file, error.line, error.field) == (file, 4, field)
+    assert str(error) == f"{file}:4: field '{field}': {message}"
+
+
 def test_loader_error_names_the_physical_line(tmp_path):
     # The first record spans lines 2-3 through a quoted id, so the bad row starts on line 4.
     path = _write(tmp_path, products=[('"p\n1"', "s1", "A"), ("p9", "s1", "A||B")])

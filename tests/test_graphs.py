@@ -115,8 +115,13 @@ def test_neighbors_isolated_edge_star():
 
 
 def test_edge_cases_outside_vertices():
-    # x is an endpoint but not a vertex; c is an isolated vertex
-    graph = InteractionGraph(frozenset({"a", "b", "c"}), [("a", "x"), ("x", "y"), ("b", "x")])
+    # x is an endpoint, or a group member, but not a vertex
+    with pytest.raises(ValueError, match="'x' is linked but is not a vertex"):
+        InteractionGraph(frozenset({"a", "b", "c"}), [("a", "b"), ("b", "x")])
+    with pytest.raises(ValueError, match="'x' is linked but is not a vertex"):
+        InteractionGraph(frozenset({"a", "b", "c"}), groups=[{"a", "b"}, {"c", "x"}])
+    # c is an isolated vertex
+    graph = InteractionGraph(frozenset({"a", "b", "c", "x", "y"}), [("a", "x"), ("x", "y"), ("b", "x")])
     assert graph.neighbors("x") == {"a", "b", "y"}
     assert graph.degree("x") == 3
     assert graph.neighbors("y") == {"x"}
@@ -126,7 +131,7 @@ def test_edge_cases_outside_vertices():
 
 
 def test_groups_link_every_two_members():
-    graph = InteractionGraph(frozenset({"a", "b"}), [("a", "b")], groups=[{"b", "c", "d"}, {"e"}])
+    graph = InteractionGraph(frozenset("abcde"), [("a", "b")], groups=[{"b", "c", "d"}, {"e"}])
     neighbours = {user: graph.neighbors(user) for user in "abcde"}
     assert neighbours == {"a": {"b"}, "b": {"a", "c", "d"}, "c": {"b", "d"}, "d": {"b", "c"}, "e": set()}
 

@@ -491,11 +491,12 @@ def test_entity_set_shared_counts_match_set_intersections(small_corpus, kind):
     ],
 )
 def test_graph_linking_a_user_outside_the_corpus_users_is_rejected(feature, name, rows):
-    """A graph sorts its own users, so a linked "0" would shift every row against the corpus users' positions."""
+    """A graph's vertices are the corpus users, so its rows are their positions; a linked "0" is not among them."""
     context = SimilarityContext(dataclasses.replace(make_corpus(**rows), users=frozenset("abc")))
     for _ in range(2):  # the graph is not cached on the way out
-        with pytest.raises(ValueError, match=f"the {name} graph links '0', who is not among the corpus users"):
+        with pytest.raises(ValueError, match="'0' is linked but is not a vertex"):
             context.k_nearest(feature, "b")
+        assert name not in context._graphs
 
 
 def test_k_nearest_matches_bruteforce_oracle(small_corpus):
