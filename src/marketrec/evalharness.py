@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -42,6 +43,7 @@ CURVE_KS = tuple(range(1, 11))
 
 _Item = TypeVar("_Item")
 _DIVERSITY_ROWS = 128  # lists per diversity pass: about 0.3 MB of pair arrays at n = 10
+_CF_ROWS = 32  # users whose CF lists of one kind _Engine.task_list builds from one block of sums, at most
 
 
 @dataclass(frozen=True)
@@ -190,23 +192,26 @@ def diversity_at_k(
 def _diversity_rows(items: np.ndarray, distance: Callable[[int, int], float]) -> np.ndarray:
     """Mean distance over the ordered position pairs of each row of codes (-1 pads).
 
-    Each row adds its distance matrix in row-major order, 0.0 on the diagonal and at pads;
-    ``distance`` gets each unordered pair of codes present once per pass, lower code first.
+    Each row adds its distance matrix in row-major order, 0.0 on the diagonal and at pads. Passes of
+    _DIVERSITY_ROWS rows find their code pairs, and ``distance`` gets each one present once, lower code first.
     """
-    if len(items) > _DIVERSITY_ROWS:
-        passes = range(0, len(items), _DIVERSITY_ROWS)
-        return np.concatenate([_diversity_rows(items[i : i + _DIVERSITY_ROWS], distance) for i in passes])
     rows, width = items.shape
-    first, second = np.triu_indices(width, 1)  # one row per position pair i < j, one column per list
-    low, high = np.minimum(items.T[first], items.T[second]), np.maximum(items.T[first], items.T[second])
-    present = low >= 0  # a pad (-1) is the lower code
-    pairs, inverse = np.unique(low[present].astype(np.int64) << 32 | high[present], return_inverse=True)
-    codes = zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist())
-    distances = np.zeros((len(first) + 1, rows))  # the last row serves the diagonal
-    distances[:-1][present] = np.array([distance(a, b) for a, b in codes], dtype=float)[inverse]
-    slots = np.full((width, width), len(first))
+    first, second = np.triu_indices(width)  # one row per position pair i <= j, one column per list
+    slots = np.zeros((width, width), int)
     slots[first, second] = slots[second, first] = np.arange(len(first))
-    totals = np.cumsum(distances[slots.ravel()], axis=0)[-1] if width else np.zeros(rows)
+    starts = range(0, rows if width else 0, _DIVERSITY_ROWS)
+    passes = []  # per pass: its sorted low << 32 | high keys (-1: diagonal or pad), and each position pair's index
+    for codes in (items[i : i + _DIVERSITY_ROWS].T for i in starts):
+        low, high = np.minimum(codes[first], codes[second]), np.maximum(codes[first], codes[second])
+        keys, at = np.unique(np.where((low >= 0) & (first < second)[:, None], low.astype(np.int64) << 32 | high, -1),
+                             return_inverse=True)  # sorts: numpy 2's plain np.unique hashes, slower on these keys
+        passes.append((keys, at.astype(np.min_scalar_type(len(keys)))))  # 2 bytes an index at N = 10
+    pairs = np.sort(np.concatenate([[-1], *(keys for keys, _ in passes)]))
+    pairs = pairs[np.diff(pairs, prepend=-2) > 0]  # each key once, -1 first
+    values = np.array([0.0, *map(distance, (pairs[1:] >> 32).tolist(), (pairs[1:] & 0xFFFFFFFF).tolist())])
+    totals = np.zeros(rows)
+    for i, (keys, at) in zip(starts, passes):
+        totals[i : i + _DIVERSITY_ROWS] = np.cumsum(values[np.searchsorted(pairs, keys)][at][slots.ravel()], axis=0)[-1]
     m = np.count_nonzero(items >= 0, axis=1)
     return np.divide(totals, m * (m - 1), out=np.zeros(rows), where=m > 1)
 
@@ -274,6 +279,7 @@ class _Engine:
     def __init__(self, corpus, split, knn_k, list_length, outer: Optional[_Engine] = None):
         self.corpus = corpus
         self.split = split
+        self.eligible = sorted(split.eligible)
         self.outer = outer
         self.training = with_purchases(corpus, split.training)
         self.context = SimilarityContext(self.training)
@@ -312,12 +318,14 @@ class _Engine:
                     self.training, kind, self.n, owned=self.purchase_sets.get(user, frozenset()),
                     target=user, ranking=self._popular[kind],
                 )
-            elif kind == "product":
-                per_user[user] = cf_products(self.slice_for(rec, user), self.purchase_sets, self.n)
-            else:
-                per_user[user] = cf_categories(
-                    self.slice_for(rec, user), self.corpus, self.purchase_sets, kind, self.n
-                )
+            else:  # one block of sums serves this user and the next sorted eligible users lacking a list
+                later = self.eligible[bisect_left(self.eligible, user) + 1 :][: _CF_ROWS - 1]
+                slices = [self.slice_for(rec, u) for u in (user, *later) if u not in per_user]
+                for slice_ in slices[: self.purchase_sets.keep_cf_sums(slices)]:
+                    per_user[slice_.target] = (
+                        cf_products(slice_, self.purchase_sets, self.n) if kind == "product"
+                        else cf_categories(slice_, self.corpus, self.purchase_sets, kind, self.n)
+                    )
         return per_user[user]
 
     def relevant(self, task, user) -> frozenset[str]:
@@ -352,7 +360,7 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     and diagnostic counts.
     """
     name = _display_id(rec)
-    eligible = sorted(engine.split.eligible)
+    eligible = engine.eligible
     n = engine.n
     width = max(n, len(CURVE_KS))
     codes, class_distance = engine.category_classes
@@ -360,10 +368,9 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     served_products = served_task = short_product_lists = 0
 
     for user in eligible:
-        # a user's product list right after their task list keeps CF's latest-slice memo warm
-        task_list = engine.task_list(rec, task, user)
-        product_list = task_list if task == "products" else engine.task_list(rec, "products", user)
-        ids, product_ids = task_list.item_ids(), product_list.item_ids()
+        # each list's ids are read once: on the products task the product list is the task list
+        ids = engine.task_list(rec, task, user).item_ids()
+        product_ids = ids if task == "products" else engine.task_list(rec, "products", user).item_ids()
         served_task += len(ids) > 0
         served_products += len(product_ids) > 0
         short_product_lists += len(product_ids) < 2
@@ -390,7 +397,7 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
 
 def _harsh_ndcg(engine: _Engine, rec_id: str, task: str) -> float:
     """Harsh mean nDCG@N of one recommender's task lists: _evaluate's row.ndcg alone."""
-    eligible = sorted(engine.split.eligible)
+    eligible = engine.eligible
     hits, sizes = [], []
     for user in eligible:
         sizes.append(len(relevant := engine.relevant(task, user)))

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ _EXTRACTOR_BY_KIND = {"product": None, "low_category": low_level_category, "top_
 DEFAULT_N = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecommendationList:
     """Ranked top-N items with scores for one target user.
 
@@ -93,8 +94,9 @@ def _cf_sums(slice_: SimilarityMatrixSlice, sets: EntitySets):
 
 def cf_candidate_scores(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets) -> dict[str, float]:
     """Each product a neighbour owns and the target does not -> its owners' similarities, summed in slice order."""
-    flat, sums = _cf_sums(slice_, purchase_sets)
-    return {purchase_sets.ids[p]: float(sums[p]) for p in dict.fromkeys(flat.tolist()) if sums[p]}
+    sums, ids = _cf_sums(slice_, purchase_sets), purchase_sets.ids
+    owned = dict.fromkeys(chain.from_iterable(purchase_sets.get(user, ()) for user in slice_.users()))
+    return {p: float(sums[i]) for p in owned if sums[i := bisect_left(ids, p)]}
 
 
 def cf_products(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets, n: int = DEFAULT_N) -> RecommendationList:
@@ -103,7 +105,7 @@ def cf_products(slice_: SimilarityMatrixSlice, purchase_sets: EntitySets, n: int
     An empty slice yields an empty list, signalling that no recommendation
     was possible for this target.
     """
-    _, sums = _cf_sums(slice_, purchase_sets)
+    sums = _cf_sums(slice_, purchase_sets)
     candidates = sums.nonzero()[0]  # ascending positions, so ties break by ascending id
     positions, scores = best_first(candidates, sums[candidates], n)
     names = map(purchase_sets.ids.__getitem__, positions.tolist())
@@ -126,7 +128,7 @@ def cf_categories(
     """
     if _EXTRACTOR_BY_KIND.get(kind) is None:
         raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
-    _, sums = _cf_sums(slice_, purchase_sets)
+    sums = _cf_sums(slice_, purchase_sets)
     categories, codes = purchase_sets.codes(_EXTRACTOR_BY_KIND[kind], corpus.products)
     counts = np.bincount(codes[sums > 0], minlength=len(categories) + 1)[:-1]
     present = counts.nonzero()[0]

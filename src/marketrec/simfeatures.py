@@ -25,6 +25,7 @@ from .corpus import Corpus, entity_sets
 from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 DEFAULT_K = 40
+CF_BLOCK_CELLS = 1 << 15  # what a kept CF block may hold: its sums and gathered entities, 256 KB of sums at most
 _Key = TypeVar("_Key", str, int)
 
 _CONTENT_SUFFIXES = ("common", "total", "jaccard")
@@ -152,7 +153,7 @@ class EntitySets(dict):
     The sets are the one home of their index: ``ids``, the sorted entity ids, so entity position i names ids[i];
     ``csr``, CSR ``indptr`` and int32 ``indices`` of users[i]'s entity positions in set order; and ``degrees``,
     each user's entity count. Content k-NN reads ``degrees`` and ``shared_counts`` as it reads a graph's, and CF
-    reads ``cf_sums``, ``codes`` and ``ids``.
+    reads ``cf_sums`` (rows of a block that ``keep_cf_sums`` keeps), ``codes`` and ``ids``.
     """
 
     def __init__(self, sets: Mapping[str, frozenset[str]], users: Sequence[str]):
@@ -165,7 +166,7 @@ class EntitySets(dict):
         self.csr = indptr, np.fromiter(map(at, chain.from_iterable(held)), np.int32, indptr[-1])
         self.degrees = np.diff(indptr)
         self._codes: dict = {}  # extractor -> (product table, sorted category ids, each entity's code)
-        self._last_sums: tuple = (None,)  # the latest slice, its neighbours' entity positions and CF sums
+        self._rows: dict[int, int] = {}  # id of a slice in _kept, which keeps it unique -> its row of the CF _block
 
     @cached_property
     def holders(self) -> dict[str, np.ndarray]:
@@ -184,23 +185,38 @@ class EntitySets(dict):
         shared = np.flatnonzero(counts)
         return shared, counts[shared]
 
-    def cf_sums(self, slice_: SimilarityMatrixSlice) -> tuple[np.ndarray, np.ndarray]:
-        """The neighbours' entity positions in slice order, and each position's CF sum, the target's entities at 0.
+    def cf_sums(self, slice_: SimilarityMatrixSlice) -> np.ndarray:
+        """Each entity position's CF sum, the target's entities at 0: its row of the kept block, or else kept alone."""
+        if id(slice_) in self._rows:
+            return self._block[self._rows[id(slice_)]]
+        indptr, indices = self.csr
+        starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
+        lens = ends - starts
+        flat = indices[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
+        sums = np.bincount(flat, slice_.scores.repeat(lens), len(self.ids))
+        t = bisect_left(self.users, slice_.target)
+        sums[indices[indptr[t] : indptr[t + 1]]] = 0.0
+        self._block, self._kept, self._rows = (sums,), (slice_,), {id(slice_): 0}  # a block of one row
+        return sums
 
-        One index expression gathers them from ``csr``, and one ``np.bincount`` adds in slice order, bit-identical
-        to tests/oracles.py. The latest slice's sums are kept: an evaluation engine asks for one slice's category
-        list, then its product list.
-        """
-        if self._last_sums[0] is not slice_:
-            indptr, indices = self.csr
-            starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
-            lens = ends - starts
-            flat = indices[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
-            sums = np.bincount(flat, slice_.scores.repeat(lens), len(self.ids))
-            t = bisect_left(self.users, slice_.target)
-            sums[indices[indptr[t]:indptr[t + 1]]] = 0.0
-            self._last_sums = (slice_, flat, sums)
-        return self._last_sums[1:]
+    def keep_cf_sums(self, slices: Sequence[SimilarityMatrixSlice]) -> int:
+        """Keep the CF sums of the longest prefix of ``slices`` within CF_BLOCK_CELLS (P cells a row, one per entity it
+        gathers), one slice at least, as one block; return its length. One gather, then one ``np.bincount`` keyed by
+        row·P + position adds each row in slice order, bit-identical to cf_sums of the slice alone."""
+        (indptr, indices), width, rows = self.csr, len(self.ids), len(slices)
+        row_of = np.repeat(np.arange(rows), [len(s) for s in slices])  # each neighbour's row
+        positions = np.concatenate([s.positions for s in slices])
+        cells = np.bincount(row_of, self.degrees[positions], rows).cumsum() + width * np.arange(1, rows + 1)
+        rows = max(1, np.count_nonzero(cells <= CF_BLOCK_CELLS))
+        row_of = row_of[: np.searchsorted(row_of, rows)]
+        positions, lens = positions[: len(row_of)], self.degrees[positions[: len(row_of)]]
+        flat = indices[np.repeat(indptr[positions] + lens - lens.cumsum(), lens) + np.arange(lens.sum())]
+        weights = np.concatenate([s.scores for s in slices[:rows]]).repeat(lens)
+        block = np.bincount(flat + np.repeat(row_of * width, lens), weights, rows * width).reshape(rows, width)
+        self._block, self._kept, self._rows = block, slices[:rows], dict(zip(map(id, slices), range(rows)))
+        for row, t in enumerate(bisect_left(self.users, slice_.target) for slice_ in self._kept):
+            block[row, indices[indptr[t] : indptr[t + 1]]] = 0.0
+        return rows
 
     def codes(self, extract: Callable, products: Mapping) -> tuple[list[str], np.ndarray]:
         """The sorted ids of the categories that ``extract`` finds for the entities in ``products``, and each entity's

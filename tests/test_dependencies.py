@@ -51,7 +51,7 @@ def test_only_graphs_reads_packed_rows():
 
 
 # the entity index is simfeatures.py's format: other modules ask an EntitySets for these, never read its index or memo
-ENTITY_SETS_API = {"users", "ids", "degrees", "shared_counts", "cf_sums", "codes"}
+ENTITY_SETS_API = {"users", "ids", "degrees", "shared_counts", "cf_sums", "keep_cf_sums", "codes"}
 CSR_NAMES = {"indptr", "indices"}
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -332,6 +333,27 @@ def test_diversity_measures_each_pair_once_and_sums_like_the_oracle(items, table
     assert result == oracles.diversity(items[:k], dist)
 
 
+def test_diversity_rows_look_each_class_pair_up_once_across_passes():
+    rng = random.Random(3)
+    rows = [rng.sample(range(14), rng.randint(0, 6)) + [rng.randrange(14)] * rng.randint(0, 1) for _ in range(300)]
+    codes = np.array([(row + [-1] * 7)[:7] for row in rows], dtype=np.int32)  # -1 pads, as the engine's blocks
+    assert len(codes) > 2 * evalharness._DIVERSITY_ROWS  # three passes
+
+    def value(a, b):
+        return ((a * 7 + b * 3) % 11) / 10
+
+    calls = Counter()
+
+    def distance(a, b):
+        calls[a, b] += 1
+        return value(a, b)
+
+    result = evalharness._diversity_rows(codes, distance)
+    present = {(min(x, y), max(x, y)) for row in rows for i, x in enumerate(row) for y in row[i + 1 :]}
+    assert set(calls) == present and set(calls.values()) == {1}  # a repeated code pairs with itself too
+    assert result.tolist() == [oracles.diversity(row, lambda a, b: value(min(a, b), max(a, b))) for row in rows]
+
+
 def test_class_distance_equals_path_distance(small_corpus):
     engine = _Engine(small_corpus, make_split(small_corpus, seed=3), DEFAULT_K, 10)
     assert "category_classes" not in vars(engine)  # built on first use
@@ -391,6 +413,43 @@ def test_perfect_recommender_scores_one(medium_corpus):
         assert row.recall == pytest.approx(1.0, **APPROX)
         assert row.precision == pytest.approx(1.0, **APPROX)
         assert row.coverage == 1.0
+
+
+def test_every_feature_product_list_goes_through_evalharness_cf_products(monkeypatch, medium_corpus):
+    """The engine builds CF lists in blocks, but each product list still calls the name a tracer or test patches."""
+    split = make_split(medium_corpus, seed=4)
+    recommenders = ["most_popular", "mp.purchases.jaccard", "sn.graph.aa"]
+    plain = format_report_table(run_experiment(medium_corpus, split, recommenders, "products"))
+    targets = Counter()
+
+    def reversed_cf(slice_, purchase_sets, n=10):
+        targets[slice_.target] += 1
+        made = cf_products(slice_, purchase_sets, n)
+        return replace(made, items=made.items[::-1])
+
+    monkeypatch.setattr(evalharness, "cf_products", reversed_cf)
+    for task in ("products", "low_categories"):  # a category task reads product lists too
+        targets.clear()
+        run_experiment(medium_corpus, split, recommenders, task)
+        assert targets == Counter({user: 2 for user in split.eligible})  # once per feature and eligible user
+    assert format_report_table(run_experiment(medium_corpus, split, recommenders, "products")) != plain
+
+
+def test_each_engine_list_has_its_ids_read_once(monkeypatch, medium_corpus):
+    """On the products task the product list is the task list, so its ids serve both."""
+    split = make_split(medium_corpus, seed=4)
+    recommenders = ["most_popular", "mp.purchases.jaccard", HybridDef("mix", ("most_popular", "mp.purchases.jaccard"))]
+    read, item_ids = [], RecommendationList.item_ids
+
+    def counted(self):
+        read.append(self)  # held, so no two lists share an id()
+        return item_ids(self)
+
+    monkeypatch.setattr(RecommendationList, "item_ids", counted)
+    for task in ("products", "low_categories"):
+        run_experiment(medium_corpus, split, recommenders, task)
+    reads = Counter(map(id, read))
+    assert len(reads) >= 2 * len(recommenders) * len(split.eligible) and set(reads.values()) == {1}
 
 
 def test_most_popular_full_coverage(medium_corpus):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from marketrec import simfeatures
 from marketrec.corpus import low_level_category, top_level_category
 from marketrec.evalharness import HybridDef, check_experiment
 from marketrec.recommender import (
@@ -29,6 +30,13 @@ USERS = ("a", "b", "c", "d", "e", "t", "v", "v1", "v2", "v3", "v4", "w")
 
 def rec(items, target="t", kind="product"):
     return RecommendationList(target=target, kind=kind, items=tuple(items))
+
+
+def test_recommendation_lists_are_slotted_and_compare_by_their_fields():
+    made, same = rec([("a", 2.0), ("b", 1.0)]), rec([("a", 2.0), ("b", 1.0)])
+    assert not hasattr(made, "__dict__")  # like the corpus records: no per-list dict
+    assert made.item_ids() == ("a", "b") and made == same and hash(made) == hash(same)
+    assert repr(made) == "RecommendationList(target='t', kind='product', items=(('a', 2.0), ('b', 1.0)))"
 
 
 # --- most popular ---------------------------------------------------------
@@ -428,6 +436,26 @@ def test_cf_lists_of_one_slice_in_turn_match_lists_made_alone(small_corpus):
             expected = oracles.cf_product_scores(slice_.scored, owned, owned.get(target, set()))
             assert list(cf_products(slice_, purchase_sets, 10).items) == oracles.ranked(expected, 10)
             assert cf_candidate_scores(slice_, purchase_sets) == expected
+
+
+def test_cf_lists_read_from_a_kept_block_match_lists_made_alone(monkeypatch, small_corpus):
+    monkeypatch.setattr(simfeatures, "CF_BLOCK_CELLS", 400)  # several blocks of several rows
+    context = SimilarityContext(small_corpus)
+    purchase_sets = context.entity_sets("purchases")
+    blocks = []
+    for feature_id in ("mp.purchases.jaccard", "sn.graph.aa"):
+        slices = [context.k_nearest(feature_id, target, 8) for target in context.users]
+        while slices:
+            blocks.append(purchase_sets.keep_cf_sums(slices))
+            for slice_ in slices[: blocks[-1]]:
+                alone = EntitySets(purchase_sets, context.users)  # no block kept: each call gathers its own
+                assert cf_products(slice_, purchase_sets, 10) == cf_products(slice_, alone, 10)
+                for kind in ("top_category", "low_category"):
+                    kept = cf_categories(slice_, small_corpus, purchase_sets, kind, 10)
+                    assert kept == cf_categories(slice_, small_corpus, alone, kind, 10)
+                assert cf_candidate_scores(slice_, purchase_sets) == cf_candidate_scores(slice_, alone)
+            slices = slices[blocks[-1] :]
+    assert max(blocks) > 1 and len(blocks) > 2
 
 
 def test_cf_category_scores_sum_to_one(small_corpus):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec import graphs
+from marketrec import graphs, simfeatures
 from marketrec.corpus import ENTITY_KINDS, load_corpus
 from marketrec.recommender import cf_categories, cf_products
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
+    EntitySets,
     FeatureSpec,
     SimilarityContext,
     SimilarityMatrixSlice,
@@ -448,6 +449,46 @@ def test_cf_rejects_a_slice_over_another_user_list(small_corpus):
             cf_products(unequal, purchase_sets)
         with pytest.raises(ValueError, match="different user lists"):
             cf_categories(unequal, small_corpus, purchase_sets, "top_category")
+
+
+CF_USERS = tuple(f"u{i:02d}" for i in range(14))
+
+
+@pytest.mark.parametrize("bound", [1, 45, 120, 1 << 16])
+def test_cf_block_rows_equal_per_slice_sums_and_the_oracle(monkeypatch, bound):
+    rng = random.Random(bound)
+    products = [f"p{i}" for i in range(16)]
+    owned = {user: frozenset(rng.sample(products, rng.randint(1, 6))) for user in CF_USERS[3:]}
+    owned["u01"] = frozenset()  # "u00" has no purchase set at all, "u01" an empty one: as targets and neighbours
+    neighbours = [("u00", 0.5), ("u01", 0.5), ("u02", 0.5)]  # "u02" owns nothing either: an all-zero row
+    slices = [SimilarityMatrixSlice.from_pairs("u00", (), CF_USERS)]  # an empty slice
+    for target in CF_USERS * 2:
+        chosen = rng.sample([user for user in CF_USERS if user != target], rng.randint(0, 7))
+        scored = sorted(((user, rng.choice([0.1, 0.2, 0.3, 0.6])) for user in chosen), key=lambda e: (-e[1], e[0]))
+        slices.append(SimilarityMatrixSlice.from_pairs(target, tuple(scored), CF_USERS))
+    slices += [SimilarityMatrixSlice.from_pairs(t, tuple(neighbours), CF_USERS) for t in ("u01", "u05")]
+    sets = EntitySets(owned, CF_USERS)
+    monkeypatch.setattr(simfeatures, "CF_BLOCK_CELLS", bound)
+    cells = [len(sets.ids) + sum(len(owned.get(user, ())) for user in s.users()) for s in slices]
+    blocks = []
+    while len(blocks) < len(slices):
+        start = len(blocks)
+        kept = sets.keep_cf_sums(slices[start:])
+        # the longest prefix within the bound, one slice at least: the kept block never exceeds it
+        assert kept == 1 or sum(cells[start : start + kept]) <= bound
+        assert start + kept == len(slices) or sum(cells[start : start + kept + 1]) > bound
+        blocks += [kept] * kept
+        for s in slices[start : start + kept]:
+            row = sets.cf_sums(s)
+            assert row.tolist() == EntitySets(owned, CF_USERS).cf_sums(s).tolist()  # the slice alone
+            expected = oracles.cf_product_scores(s.scored, owned, owned.get(s.target, frozenset()))
+            assert {sets.ids[p]: score for p, score in enumerate(row.tolist()) if score} == expected
+    if bound == 1:  # every row exceeds the bound alone, and is kept alone
+        assert set(blocks) == {1}
+    elif bound < sum(cells):  # the bound cuts blocks of several rows
+        assert 1 < max(blocks) < len(slices)
+    else:
+        assert blocks == [len(slices)] * len(slices)
 
 
 @pytest.mark.parametrize("kind", ["purchases", "groups"])
