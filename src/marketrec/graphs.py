@@ -26,19 +26,25 @@ def row_counts(words: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", np.bitwise_count(words), dtype=np.int64)
 
 
-class InteractionGraph:
-    """Undirected user graph held as one packed neighbour row per user.
+def nonzero_except(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending positions of the nonzero ``values`` but position ``i``, and those values; ``values`` is changed."""
+    values[i] = 0
+    found = np.flatnonzero(values)
+    return found, values[found]
 
-    ``users`` is ``vertices`` sorted by id. Each pair in ``edges`` and every
-    two members of each set in ``groups`` share an edge; a ValueError names an
-    endpoint or member that is not a vertex. ``pairs`` keeps how often each
-    ordered pair occurs in ``edges``, for ``pair_counts`` (the ``directed``
-    feature): sorted int64 keys actor · U + target over positions in ``users``,
-    their counts, and a last key U² that no pair has, so every search lands
-    inside the array. ``rows`` is a uint8 matrix with one row per entry of
-    ``users``, packed little-endian: bit i of row j (bit i % 8 of byte i // 8)
-    links ``users[i]`` and ``users[j]``. Each row is padded with zero bits to a
-    whole number of 64-bit words, so kernels may read it as uint64.
+
+class InteractionGraph:
+    """Undirected user graph held as one packed neighbour row per user, and a neighbour list per light user.
+
+    ``users`` is ``vertices`` sorted by id. Each pair in ``edges`` and every two members of each set in ``groups``
+    share an edge; a ValueError names an endpoint or member that is not a vertex. ``pairs`` counts each ordered pair
+    in ``edges``, for ``pair_counts`` (``directed``): sorted int64 keys actor · U + target over positions in
+    ``users``, their counts, and a last key U² that no pair has, so every search lands inside the array. ``rows`` is
+    a uint8 matrix with one row per entry of ``users``, packed little-endian: bit i of row j (bit i % 8 of byte
+    i // 8) links ``users[i]`` and ``users[j]``, and zero bits pad each row to whole 64-bit words for uint64 reads.
+    A row is heavy at degree · 8 ≥ U, where an int32 list takes four times its packed bytes or more; ``light`` flags
+    the others. Light row i's neighbours are ``list_positions[list_starts[i]:list_starts[i + 1]]``, ascending int32,
+    at most four times ``rows``' bytes in all. ``aa_weights`` is math.log's 1 / ln deg per user, 0.0 at degree ≤ 1.
     """
 
     def __init__(self, vertices: frozenset[str], edges: Iterable[tuple[str, str]] = (),
@@ -65,23 +71,44 @@ class InteractionGraph:
             clique = np.packbits(clique, bitorder="little")
             for part in row_slices(len(members), width):
                 rows[members[part]] |= clique
-        # a group sets each member's own bit
-        diagonal = np.arange(len(rows))
+        diagonal = np.arange(len(rows))  # a group sets each member's own bit: clear the diagonal
         rows[diagonal, diagonal >> 3] &= ~(1 << (diagonal & 7)).astype(np.uint8)
         self.degrees = row_counts(rows.view(np.uint64))
+        self.aa_weights = np.array([1.0 / math.log(d) if d > 1 else 0.0 for d in self.degrees.tolist()])
+        self.light = self.degrees * 8 < u
+        self.list_starts = np.append(0, (self.degrees * self.light).cumsum())
+        self.list_positions = np.empty(self.list_starts[-1], np.int32)
+        for part in row_slices(u, 8 * max(u, 1)):  # an int64 temporary takes under U bytes a light row
+            block = rows[part][self.light[part]].ravel()
+            found = block.nonzero()[0]
+            bits = np.unpackbits(block[found], bitorder="little").nonzero()[0]
+            at = self.list_starts[part.start]
+            self.list_positions[at : at + len(bits)] = found[bits >> 3] % width * 8 + (bits & 7)
 
     def neighbor_positions(self, i: int) -> np.ndarray:
-        """Positions in ``users`` of the neighbours of ``users[i]``, ascending."""
+        """Positions in ``users`` of the neighbours of ``users[i]``, ascending int64: a light row's list, cast."""
+        if self.light[i]:
+            return self.list_positions[self.list_starts[i] : self.list_starts[i + 1]].astype(np.intp)
         return np.flatnonzero(np.unpackbits(self.rows[i], count=len(self.users), bitorder="little"))
+
+    def _light_lists(self, i: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The int32 neighbours z of ``users[i]`` and their lists end to end, z ascending; None if a row is heavy."""
+        near = self.list_positions[self.list_starts[i] : self.list_starts[i + 1]]
+        if self.light[i] and self.light[near].all():
+            ends, lens = self.list_starts[near + 1], self.degrees[near]
+            return near, self.list_positions[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
+        return None
 
     def shared_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the users two hops from ``users[i]``, ascending, and their shared neighbour counts.
 
-        The reach is the OR of the neighbours' rows; each count is the bit count of
-        the AND of two rows. A reach of half the users or more (as a neighbour of that
-        degree implies) ANDs every row where it lies and keeps the nonzero counts: a
-        gather copies each row it reads. Both paths read at most CHUNK_BYTES of rows at a time.
+        If ``users[i]`` and its neighbours are light, one ``np.bincount`` of their lists counts. Else the reach is
+        the OR of the neighbours' rows; each count is the bit count of the AND of two rows. A reach of half the users
+        or more (as a neighbour of that degree implies) ANDs every row where it lies and keeps the nonzero counts: a
+        gather copies each row it reads. Both packed paths read at most CHUNK_BYTES of rows at a time.
         """
+        if (light := self._light_lists(i)) is not None:
+            return nonzero_except(np.bincount(light[1], minlength=len(self.users)), i)
         rows, width, words = self.rows, self.rows.shape[1], self.rows.view(np.uint64)
         near, own, half = self.neighbor_positions(i), words[i], -(-len(self.users) // 2)
         full = len(near) and self.degrees[near].max() >= half
@@ -92,9 +119,7 @@ class InteractionGraph:
             full = np.bitwise_count(reach).sum() >= half
         if full:
             counts = np.concatenate([row_counts(words[part] & own) for part in row_slices(len(words), width)])
-            counts[i] = 0
-            two_hop = np.flatnonzero(counts)
-            return two_hop, counts[two_hop]
+            return nonzero_except(counts, i)
         two_hop = np.flatnonzero(np.unpackbits(reach, count=len(self.users), bitorder="little"))
         two_hop = two_hop[two_hop != i]
         counts = np.empty(len(two_hop), np.int64)
@@ -115,21 +140,21 @@ class InteractionGraph:
     def adamic_adar(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the users sharing a neighbour z with ``users[i]``, ascending, and their sums of 1 / ln deg(z).
 
-        z ascending adds each pair's terms in the oracle's order, one += per block row (np.add.reduce would leave the
-        order to numpy); adding 0.0 leaves a non-member's sum as it was. Builtin sum() compensates float sums from
-        Python 3.12, and np.log rounds some degrees unlike math.log. Skipped: z of degree 1 (log 1 = 0).
+        z ascending adds each pair's terms in the oracle's order: ``np.bincount`` adds light lists in input order,
+        packed rows add one += per block row (np.add.reduce would leave the order to numpy), and adding 0.0 leaves a
+        non-member's sum as it was. Builtin sum() compensates float sums from Python 3.12. Skipped: z of degree 1.
         """
+        if (light := self._light_lists(i)) is not None:
+            weights = self.aa_weights[light[0]].repeat(self.degrees[light[0]])  # z's weight for each entry of z's list
+            return nonzero_except(np.bincount(light[1], weights, len(self.users)), i)
         near, sums = self.neighbor_positions(i), np.zeros(len(self.users))
         near = near[self.degrees[near] > 1]
-        weights = np.array([1.0 / math.log(d) for d in self.degrees[near].tolist()])
         for part in row_slices(len(near), sums.nbytes):  # blocks of unpacked float64 rows
             block = np.unpackbits(self.rows[near[part]], axis=1, count=len(sums), bitorder="little").astype(float)
-            block *= weights[part, None]  # float64 by float64 in place: faster than uint8 by float64
+            block *= self.aa_weights[near[part], None]  # float64 by float64 in place: faster than uint8 by float64
             for row in block:
                 sums += row
-        sums[i] = 0.0
-        reached = np.flatnonzero(sums)
-        return reached, sums[reached]
+        return nonzero_except(sums, i)
 
     def neighbors(self, user: str) -> frozenset[str]:
         """All users sharing an edge with ``user``; empty for isolated or unknown users."""

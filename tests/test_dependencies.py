@@ -1,5 +1,5 @@
-"""The package depends on the standard library and numpy only; only graphs.py reads packed graph rows, and only
-simfeatures.py reads the entity index of an EntitySets."""
+"""The package depends on the standard library and numpy only; only graphs.py reads packed graph rows and light
+neighbour lists, and only simfeatures.py reads the entity index of an EntitySets."""
 
 import ast
 import sys
@@ -29,6 +29,18 @@ def test_package_imports_only_stdlib_and_numpy():
 
 # packed rows are graphs.py's format: other modules ask an InteractionGraph, never read its rows
 PACKED_ROW_NAMES = {"unpackbits", "packbits", "row_slices", "CHUNK_BYTES"}
+# so are the light rows' neighbour lists
+LIGHT_LIST_NAMES = {"light", "list_starts", "list_positions"}
+
+
+def graph_attributes() -> set[str]:
+    """Every attribute that graphs.InteractionGraph assigns on self."""
+    tree = ast.parse((PACKAGE / "graphs.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "InteractionGraph")
+    return {
+        node.attr for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and ast.unparse(node.value) == "self"
+    }
 
 
 def test_only_graphs_reads_packed_rows():
@@ -39,7 +51,7 @@ def test_only_graphs_reads_packed_rows():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             # an EvalReport's ``report.rows`` is its table of report rows, not a graph's
             if isinstance(node, ast.Attribute) and ast.unparse(node) != "report.rows":
-                names = {node.attr} & (PACKED_ROW_NAMES | {"rows"})
+                names = {node.attr} & (PACKED_ROW_NAMES | LIGHT_LIST_NAMES | {"rows"})
             elif isinstance(node, ast.Name):
                 names = {node.id} & PACKED_ROW_NAMES
             elif isinstance(node, ast.ImportFrom):
@@ -48,6 +60,7 @@ def test_only_graphs_reads_packed_rows():
                 continue
             found += [f"{path.name}:{node.lineno} uses {name}" for name in sorted(names)]
     assert found == []
+    assert LIGHT_LIST_NAMES | {"rows"} <= graph_attributes()  # the check knows the containers it guards
 
 
 # the entity index is simfeatures.py's format: other modules ask an EntitySets for these, never read its index or memo

@@ -172,6 +172,24 @@ def test_one_large_event_builds_in_bounded_memory():
     assert graph.neighbors(users[1999]) == frozenset(users[:1999])
 
 
+def test_light_lists_build_in_slices(monkeypatch):
+    """3,000 users in ten events of 300: every row is light (299 · 8 < 3,000), and the lists, 3.4 MB, are built from
+    slices of rows rather than from one U × U unpack of 8.6 MB."""
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", 1 << 16)
+    users = [f"u{i:04d}" for i in range(3000)]
+    groups = [set(users[start : start + 300]) for start in range(0, 3000, 300)]
+    tracemalloc.start()
+    try:
+        graph = InteractionGraph(frozenset(users), groups=groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.light.all() and len(graph.list_positions) == 3000 * 299
+    assert peak < graph.rows.nbytes + graph.list_positions.nbytes + 2**20
+    assert graph.neighbor_positions(299).tolist() == list(range(299))
+    assert graph.neighbor_positions(2999).tolist() == list(range(2700, 2999))
+
+
 def test_graph_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         InteractionGraph(frozenset({"a"}), [("a", "a")])
@@ -270,17 +288,101 @@ def test_shared_counts_paths_match_set_intersections(monkeypatch, case):
     assert sliced == expected
 
 
-@pytest.mark.parametrize("chunk", [8, 16, 1 << 20])
-@given(st.data())
-def test_shared_counts_match_set_intersections_on_random_graphs(chunk, data):
-    """Every target of random edge and group graphs, read one, two or all rows at a time."""
-    size = data.draw(st.integers(1, 24))
-    users = [f"u{i:02d}" for i in range(size)]
-    user = st.sampled_from(users)
-    edges = data.draw(st.lists(st.tuples(user, user).filter(lambda e: e[0] != e[1]), max_size=40))
-    groups = data.draw(st.lists(st.sets(user, max_size=size), max_size=3))
-    graph = InteractionGraph(frozenset(users), edges, groups)
+def oracle_adjacency(edges, groups):
+    """Neighbour sets from the edge pairs and every two members of each group, as oracles.network_score reads them."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    for group in groups:
+        for member in group:
+            adj.setdefault(member, set()).update(group - {member})
+    return adj
+
+
+def oracle_aa(adj, users, i):
+    """(position, score) of every other user with a nonzero oracle aa score against users[i], ascending."""
+    scores = [(j, oracles.network_score(adj, users[i], other, "aa")) for j, other in enumerate(users) if j != i]
+    return [(j, score) for j, score in scores if score]
+
+
+def aa_pairs(graph, i):
+    positions, sums = graph.adamic_adar(i)
+    return list(zip(positions.tolist(), sums.tolist()))
+
+
+def kernel_path(graph, kernel, i):
+    """Call ``kernel(i)``; 'packed rows' if it took slices of packed rows (graphs.row_slices), else 'lists'."""
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "CHUNK_BYTES", chunk)
-        for i in range(size):
-            assert_shared_counts(graph, i)
+        patch.setattr(graphs, "row_slices", lambda *args: calls.append(args) or row_slices(*args))
+        kernel(i)
+    return "packed rows" if calls else "lists"
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 1 << 20])
+def test_shared_counts_match_set_intersections_on_random_graphs(chunk):
+    """Every target of random edge and group graphs with heavy and light rows, read one, two or all rows at a time:
+    the two-hop counts, the aa sums and the neighbour positions equal the oracles', on both paths."""
+    paths = set()
+
+    @given(st.data())
+    def check(data):
+        size = data.draw(st.integers(1, 40))
+        users = [f"u{i:02d}" for i in range(size)]
+        user = st.sampled_from(users)
+        edges = data.draw(st.lists(st.tuples(user, user).filter(lambda e: e[0] != e[1]), max_size=40))
+        groups = data.draw(st.lists(st.sets(user, max_size=size), max_size=3))
+        graph = InteractionGraph(frozenset(users), edges, groups)
+        adj = oracle_adjacency(edges, groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "CHUNK_BYTES", chunk)
+            for i, target in enumerate(users):
+                assert_shared_counts(graph, i)
+                assert graph.neighbor_positions(i).tolist() == [users.index(v) for v in sorted(adj.get(target, ()))]
+                assert aa_pairs(graph, i) == oracle_aa(adj, users, i)
+                path = kernel_path(graph, graph.adamic_adar, i)
+                assert kernel_path(graph, graph.shared_counts, i) == path
+                if adj.get(target):  # an isolated target reads an empty list, which shows little
+                    paths.add(path)
+
+    check()
+    assert paths == {"lists", "packed rows"}
+
+
+# U = 24: u00 has degree 3 (3 · 8 = U, heavy), u04 and u05 degree 2 (light), u01, u06 and u07 degree 1 (light)
+_BOUNDARY_USERS = [f"u{i:02d}" for i in range(24)]
+_BOUNDARY_EDGES = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 7)]
+
+
+@pytest.fixture
+def boundary_graph():
+    users = _BOUNDARY_USERS
+    return InteractionGraph(frozenset(users), [(users[a], users[b]) for a, b in _BOUNDARY_EDGES])
+
+
+def test_heavy_from_degree_times_8_equal_to_u(boundary_graph):
+    """A row of degree · 8 == U is heavy, one just below is light; a light target with a heavy neighbour reads packed
+    rows, one whose neighbours are all light reads lists, and every kernel equals the oracles on both."""
+    graph, users = boundary_graph, _BOUNDARY_USERS
+    assert graph.light.tolist() == [False] + [True] * 23
+    assert graph.list_starts.tolist()[:9] == [0, 0, 1, 2, 3, 5, 7, 8, 9]
+    adj = oracle_adjacency([(users[a], users[b]) for a, b in _BOUNDARY_EDGES], [])
+    paths = {}
+    for i, target in enumerate(users):
+        assert graph.neighbor_positions(i).tolist() == [users.index(v) for v in sorted(adj.get(target, ()))]
+        assert_shared_counts(graph, i)
+        assert aa_pairs(graph, i) == oracle_aa(adj, users, i)
+        paths[i] = kernel_path(graph, graph.adamic_adar, i)
+        assert kernel_path(graph, graph.shared_counts, i) == paths[i]
+    assert [paths[i] for i in (0, 1, 4, 5, 7, 8)] == ["packed rows"] * 2 + ["lists"] * 4
+
+
+@pytest.mark.parametrize("i", [0, 4], ids=["heavy", "light"])
+def test_kernel_output_dtypes(boundary_graph, i):
+    """int64 positions on both paths: an int32 list would make pair_counts' keys i · U + near int32 arithmetic."""
+    graph = boundary_graph
+    assert graph.neighbor_positions(i).dtype == np.int64
+    assert [a.dtype for a in graph.shared_counts(i)] == [np.int64, np.int64]
+    assert [a.dtype for a in graph.adamic_adar(i)] == [np.int64, np.float64]
+    assert [a.dtype for a in graph.pair_counts(i)] == [np.int64, np.int64]
