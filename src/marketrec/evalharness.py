@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -43,7 +42,6 @@ CURVE_KS = tuple(range(1, 11))
 
 _Item = TypeVar("_Item")
 _DIVERSITY_ROWS = 128  # lists per diversity pass: about 0.3 MB of pair arrays at n = 10
-_CF_ROWS = 32  # users whose CF lists of one kind _Engine.task_list builds from one block of sums, at most
 
 
 @dataclass(frozen=True)
@@ -287,8 +285,7 @@ class _Engine:
         self.knn_k = knn_k
         self.n = list_length
         self._slices: dict = {}
-        self._lists: dict = {}
-        self._popular: dict = {}  # list kind -> full popularity ranking
+        self._lists: dict = {}  # (recommender id, list kind) -> the eligible users' lists, in eligible order
         self._relevant: dict = {}
 
     def slice_for(self, feature_id, user):
@@ -299,40 +296,37 @@ class _Engine:
             per_user[user] = self.context.k_nearest(feature_id, user, self.knn_k)
         return per_user[user]
 
-    def task_list(self, rec: RecommenderDef, task, user) -> RecommendationList:
-        """One user's list for ``task``; a hybrid's comes from its components' cached lists.
+    def lists(self, rec: RecommenderDef, kind: str) -> Iterable[RecommendationList]:
+        """The eligible users' lists of one kind, in ``eligible`` order, kept per (recommender, kind).
 
-        A hybrid must carry its weights. Its list is combined on every request
-        and never cached, so a hybrid cannot shadow a component of the same name.
+        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served. A hybrid must carry
+        its weights: its lists are combined from its components' kept lists as they are read and never kept, so a
+        hybrid cannot shadow a component of the same name.
         """
-        kind = TASK_LISTS[task]
-        if isinstance(rec, HybridDef):
-            lists = {c: normalize_scores(self.task_list(c, task, user)) for c in rec.components}
-            return weighted_sum_hybrid(lists, rec.weights, self.n, target=user, kind=kind)
-        per_user = self._lists.setdefault((rec, kind), {})
-        if user not in per_user:
+        if isinstance(rec, HybridDef):  # a generator builds its outermost iterable, the components' columns, at once
+            rows = zip(self.eligible, *(self.lists(c, kind) for c in rec.components))
+            return (weighted_sum_hybrid(dict(zip(rec.components, map(normalize_scores, row))), rec.weights, self.n,
+                                        target=user, kind=kind) for user, *row in rows)
+        if (rec, kind) not in self._lists:
             if rec == MOST_POPULAR_ID:
-                if kind not in self._popular:
-                    self._popular[kind] = most_popular(self.training, kind, None).items
-                per_user[user] = most_popular(
-                    self.training, kind, self.n, owned=self.purchase_sets.get(user, frozenset()),
-                    target=user, ranking=self._popular[kind],
-                )
-            else:  # one block of sums serves this user and the next sorted eligible users lacking a list
-                later = self.eligible[bisect_left(self.eligible, user) + 1 :][: _CF_ROWS - 1]
-                slices = [self.slice_for(rec, u) for u in (user, *later) if u not in per_user]
-                for slice_ in slices[: self.purchase_sets.keep_cf_sums(slices)]:
-                    per_user[slice_.target] = (
-                        cf_products(slice_, self.purchase_sets, self.n) if kind == "product"
-                        else cf_categories(slice_, self.corpus, self.purchase_sets, kind, self.n)
-                    )
-        return per_user[user]
+                ranking, owned = most_popular(self.training, kind, None).items, self.purchase_sets.get
+                self._lists[rec, kind] = [most_popular(self.training, kind, self.n, owned=owned(u, frozenset()),
+                                                       target=u, ranking=ranking) for u in self.eligible]
+            else:
+                make = cf_products if kind == "product" else partial(cf_categories, corpus=self.corpus, kind=kind)
+                slices, column, sets = [self.slice_for(rec, user) for user in self.eligible], [], self.purchase_sets
+                while len(column) < len(slices):
+                    rest = slices[len(column) :]
+                    column += [make(slice_, purchase_sets=sets, n=self.n) for slice_ in rest[: sets.keep_cf_sums(rest)]]
+                self._lists[rec, kind] = column
+        return self._lists[rec, kind]
 
-    def relevant(self, task, user) -> frozenset[str]:
-        key = (task, user)
-        if key not in self._relevant:
-            self._relevant[key] = frozenset(list_items(self.corpus, TASK_LISTS[task], self.split.test[user]))
-        return self._relevant[key]
+    def relevant(self, task) -> list[frozenset[str]]:
+        """The eligible users' withheld items as ``task``'s list kind, in ``eligible`` order."""
+        if task not in self._relevant:
+            items = partial(list_items, self.corpus, TASK_LISTS[task])
+            self._relevant[task] = [frozenset(items(self.split.test[user])) for user in self.eligible]
+        return self._relevant[task]
 
     @cached_property
     def category_classes(self) -> tuple[dict[str, int], Callable[[int, int], float]]:
@@ -360,27 +354,28 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     and diagnostic counts.
     """
     name = _display_id(rec)
-    eligible = engine.eligible
     n = engine.n
     width = max(n, len(CURVE_KS))
     codes, class_distance = engine.category_classes
     hits, classes, sizes = [], [], []  # hit rows, product-list class rows, relevant-set sizes
     served_products = served_task = short_product_lists = 0
+    task_ids = map(RecommendationList.item_ids, engine.lists(rec, TASK_LISTS[task]))
+    if task == "products":  # the product list is the task list: each list is read once
+        rows = ((ids, ids) for ids in task_ids)
+    else:
+        rows = zip(task_ids, map(RecommendationList.item_ids, engine.lists(rec, "product")))
 
-    for user in eligible:
-        # each list's ids are read once: on the products task the product list is the task list
-        ids = engine.task_list(rec, task, user).item_ids()
-        product_ids = ids if task == "products" else engine.task_list(rec, "products", user).item_ids()
+    for (ids, product_ids), relevant in zip(rows, engine.relevant(task)):
         served_task += len(ids) > 0
         served_products += len(product_ids) > 0
         short_product_lists += len(product_ids) < 2
-        sizes.append(len(relevant := engine.relevant(task, user)))
+        sizes.append(len(relevant))
         hits += _hit_row(ids, relevant, width)
         classes += ([codes[p] for p in product_ids] + [-1] * n)[:n]
 
     ndcg_sum, recall, precision = _accuracy_sums(hits, sizes, n, width)
     diversity = _diversity_rows(np.array(classes, dtype=np.int32).reshape(-1, n), class_distance)
-    total = len(eligible)
+    total = len(engine.eligible)
     accuracy_base = total if averaging == "harsh" else served_task
     acc = (lambda s: s / accuracy_base) if accuracy_base else (lambda s: 0.0)
     row = ReportRow(
@@ -397,12 +392,11 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
 
 def _harsh_ndcg(engine: _Engine, rec_id: str, task: str) -> float:
     """Harsh mean nDCG@N of one recommender's task lists: _evaluate's row.ndcg alone."""
-    eligible = engine.eligible
     hits, sizes = [], []
-    for user in eligible:
-        sizes.append(len(relevant := engine.relevant(task, user)))
-        hits += _hit_row(engine.task_list(rec_id, task, user).item_ids(), relevant, engine.n)
-    return _accuracy_sums(hits, sizes, engine.n, engine.n)[0] / len(eligible) if eligible else 0.0
+    for task_list, relevant in zip(engine.lists(rec_id, TASK_LISTS[task]), engine.relevant(task)):
+        sizes.append(len(relevant))
+        hits += _hit_row(task_list.item_ids(), relevant, engine.n)
+    return _accuracy_sums(hits, sizes, engine.n, engine.n)[0] / len(sizes) if sizes else 0.0
 
 
 def run_experiment(

@@ -17,7 +17,7 @@ CHUNK_BYTES = 1 << 20
 
 def row_slices(count: int, width: int) -> Iterator[slice]:
     """Consecutive slices of ``range(count)`` whose rows of ``width`` bytes fill at most CHUNK_BYTES."""
-    step = max(1, CHUNK_BYTES // width)
+    step = max(1, CHUNK_BYTES // max(width, 1))  # a graph of no users has rows of no bytes
     return (slice(start, start + step) for start in range(0, count, step))
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from .corpus import Corpus, entity_sets
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, nonzero_except
 
 DEFAULT_K = 40
 CF_BLOCK_CELLS = 1 << 15  # what a kept CF block may hold: its sums and gathered entities, 256 KB of sums at most
@@ -180,10 +180,7 @@ class EntitySets(dict):
         """Positions of the users sharing an entity with ``users[t]``, ascending, and how many they share:
         one ``np.bincount`` of the holders of the target's entities."""
         held = list(map(self.holders.__getitem__, self.get(self.users[t], ())))
-        counts = np.bincount(np.concatenate(held) if held else held, minlength=len(self.users))
-        counts[t] = 0
-        shared = np.flatnonzero(counts)
-        return shared, counts[shared]
+        return nonzero_except(np.bincount(np.concatenate(held) if held else held, minlength=len(self.users)), t)
 
     def cf_sums(self, slice_: SimilarityMatrixSlice) -> np.ndarray:
         """Each entity position's CF sum, the target's entities at 0: its row of the kept block, or else kept alone."""
@@ -201,8 +198,10 @@ class EntitySets(dict):
 
     def keep_cf_sums(self, slices: Sequence[SimilarityMatrixSlice]) -> int:
         """Keep the CF sums of the longest prefix of ``slices`` within CF_BLOCK_CELLS (P cells a row, one per entity it
-        gathers), one slice at least, as one block; return its length. One gather, then one ``np.bincount`` keyed by
-        row·P + position adds each row in slice order, bit-identical to cf_sums of the slice alone."""
+        gathers), one slice at least, as one block; return its length. It reads CF_BLOCK_CELLS // P slices at most.
+        One gather, then one ``np.bincount`` keyed by row·P + position adds each row in slice order, bit-identical to
+        cf_sums of the slice alone."""
+        slices = slices[: max(1, CF_BLOCK_CELLS // max(len(self.ids), 1))]  # a row takes P cells at least
         (indptr, indices), width, rows = self.csr, len(self.ids), len(slices)
         row_of = np.repeat(np.arange(rows), [len(s) for s in slices])  # each neighbour's row
         positions = np.concatenate([s.positions for s in slices])

@@ -1,5 +1,6 @@
 """The package depends on the standard library and numpy only; only graphs.py reads packed graph rows and light
-neighbour lists, and only simfeatures.py reads the entity index of an EntitySets."""
+neighbour lists, and only simfeatures.py reads the entity index of an EntitySets. No package line is wider than
+MAX_LINE, so its line count cannot fall by packing more onto a line."""
 
 import ast
 import sys
@@ -25,6 +26,21 @@ def test_package_imports_only_stdlib_and_numpy():
                 if top not in sys.stdlib_module_names and top != "numpy":
                     outside.append(f"{path.name}:{node.lineno} imports {module}")
     assert outside == []
+
+
+MAX_LINE = 120
+
+
+def test_package_lines_fit_the_width():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    wide = [
+        f"{path.name}:{number} is {len(line)} characters"
+        for path in sources
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert wide == []
 
 
 # packed rows are graphs.py's format: other modules ask an InteractionGraph, never read its rows

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marketrec import evalharness
+from marketrec import evalharness, simfeatures
 from marketrec.corpus import PURCHASE_KINDS, Product, entity_sets, with_purchases
 from marketrec.evalharness import (
     AVERAGING_MODES,
@@ -39,6 +39,7 @@ from marketrec.recommender import TASK_LISTS, RecommendationList, cf_categories,
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
+    EntitySets,
     SimilarityContext,
     UnknownFeatureError,
     parse_feature_id,
@@ -387,8 +388,8 @@ def test_engine_lists_never_repeat_an_item(planted_corpus):
         recommenders = ["most_popular", *ALL_FEATURE_IDS, explicit, replace(derived, weights=weights)]
         long_lists = 0
         for rec in recommenders:
-            for user in sorted(split.eligible):
-                ids = engine.task_list(rec, task, user).item_ids()
+            for user, task_list in zip(engine.eligible, engine.lists(rec, TASK_LISTS[task]), strict=True):
+                ids = task_list.item_ids()
                 assert len(set(ids)) == len(ids), (rec, task, user)
                 long_lists += len(ids) >= 2
         assert long_lists >= len(recommenders) * len(split.eligible) // 2
@@ -402,11 +403,11 @@ def test_perfect_recommender_scores_one(medium_corpus):
     split = make_split(medium_corpus, seed=4)
     assert split.eligible
     engine = _Engine(medium_corpus, split, 10, 10)
-    # the engine serves "perfect" from its list cache: each user's withheld products
-    engine._lists["perfect", "product"] = {
-        user: RecommendationList(user, "product", tuple((p, 1.0) for p in sorted(split.test[user])))
-        for user in split.eligible
-    }
+    # the engine serves "perfect" from its list cache: each user's withheld products, in eligible order
+    engine._lists["perfect", "product"] = [
+        RecommendationList(user, "product", tuple((p, 1.0) for p in sorted(split.test[user])))
+        for user in engine.eligible
+    ]
     for rec in ("perfect", HybridDef("mix", ("perfect",), weights={"perfect": 1.0})):
         row, curves, _ = _evaluate(engine, rec, "products", "harsh")
         assert row.ndcg == pytest.approx(1.0, **APPROX)
@@ -433,6 +434,16 @@ def test_every_feature_product_list_goes_through_evalharness_cf_products(monkeyp
         run_experiment(medium_corpus, split, recommenders, task)
         assert targets == Counter({user: 2 for user in split.eligible})  # once per feature and eligible user
     assert format_report_table(run_experiment(medium_corpus, split, recommenders, "products")) != plain
+
+
+def test_one_cf_column_is_one_block_when_the_cell_bound_allows(monkeypatch, medium_corpus):
+    """CF_BLOCK_CELLS alone sizes a block: with room for every row, a column's sums come from one call."""
+    split = make_split(medium_corpus, seed=4)
+    kept, keep = [], EntitySets.keep_cf_sums
+    monkeypatch.setattr(EntitySets, "keep_cf_sums", lambda self, slices: kept.append(keep(self, slices)) or kept[-1])
+    monkeypatch.setattr(simfeatures, "CF_BLOCK_CELLS", 1 << 40)
+    run_experiment(medium_corpus, split, ["mp.purchases.jaccard"], "products")
+    assert kept == [len(split.eligible)] and len(split.eligible) > 32
 
 
 def test_each_engine_list_has_its_ids_read_once(monkeypatch, medium_corpus):
@@ -615,8 +626,8 @@ def test_curve_points_equal_mean_oracle_recall_and_precision(task, list_length):
     lengths = set()
     for rec_id in recommenders:
         recall_sums, precision_sums = [0.0] * 10, [0.0] * 10
-        for user in sorted(split.eligible):
-            ids = engine.task_list(rec_id, task, user).item_ids()
+        for user, task_list in zip(sorted(split.eligible), engine.lists(rec_id, TASK_LISTS[task]), strict=True):
+            ids = task_list.item_ids()
             lengths.add(len(ids))
             relevant = _oracle_relevant(corpus, task, split.test[user])
             if user == "bare" and task != "products":
@@ -706,10 +717,10 @@ def test_product_lists_never_contain_training_purchases(medium_corpus):
     engine = _Engine(medium_corpus, split, 10, 10)
     weights = {"mp.purchases.jaccard": 0.5, "sn.graph.cn": 0.5}
     hybrid = HybridDef("mix", ("mp.purchases.jaccard", "sn.graph.cn"), weights=weights)
-    for user in sorted(split.eligible)[:15]:
-        owned = engine.purchase_sets.get(user, frozenset())
-        for rec in ("most_popular", "mp.purchases.jaccard", "sn.graph.cn", hybrid):
-            assert owned.isdisjoint(engine.task_list(rec, "products", user).item_ids())
+    for rec in ("most_popular", "mp.purchases.jaccard", "sn.graph.cn", hybrid):
+        for user, product_list in zip(sorted(split.eligible), engine.lists(rec, "product"), strict=True):
+            owned = engine.purchase_sets.get(user, frozenset())
+            assert owned.isdisjoint(product_list.item_ids())
 
 
 def test_unknown_feature_id_rejected(medium_corpus):

@@ -130,6 +130,15 @@ def test_edge_cases_outside_vertices():
     assert graph.degree("c") == 0
 
 
+def test_graph_of_no_users_builds():
+    # its rows are 0 bytes wide, so every chunked pass over them must step by at least one row
+    for groups in ([], [set()]):
+        graph = InteractionGraph(frozenset(), groups=groups)
+        assert graph.users == [] and graph.rows.shape == (0, 0)
+        assert graph.degrees.tolist() == [] and graph.list_positions.tolist() == []
+        assert graph.neighbors("a") == frozenset() and graph.degree("a") == 0
+
+
 def test_groups_link_every_two_members():
     graph = InteractionGraph(frozenset("abcde"), [("a", "b")], groups=[{"b", "c", "d"}, {"e"}])
     neighbours = {user: graph.neighbors(user) for user in "abcde"}

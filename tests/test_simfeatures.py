@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -489,6 +490,42 @@ def test_cf_block_rows_equal_per_slice_sums_and_the_oracle(monkeypatch, bound):
         assert 1 < max(blocks) < len(slices)
     else:
         assert blocks == [len(slices)] * len(slices)
+
+
+class ReadRecorder(Sequence):
+    """A sequence that records the indices read from it, by index or by slice."""
+
+    def __init__(self, items):
+        self.items, self.read = items, set()
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        found = self.items[index]
+        self.read.update(range(len(self.items))[index] if isinstance(index, slice) else [index])
+        return found
+
+
+@pytest.mark.parametrize("bound", [1, 40, 100, 1 << 16])
+def test_keep_cf_sums_reads_only_the_slices_a_block_can_hold(monkeypatch, bound):
+    # a row takes P cells at least, so slices past CF_BLOCK_CELLS // P could never join the block
+    rng = random.Random(bound)
+    owned = {user: frozenset(rng.sample([f"p{i}" for i in range(16)], rng.randint(1, 4))) for user in CF_USERS}
+    sets = EntitySets(owned, CF_USERS)
+    monkeypatch.setattr(simfeatures, "CF_BLOCK_CELLS", bound)
+    slices = [  # each user twice, with the next user as its one neighbour
+        SimilarityMatrixSlice.from_pairs(target, ((CF_USERS[(i + 1) % len(CF_USERS)], 0.5),), CF_USERS)
+        for i, target in enumerate(CF_USERS * 2)
+    ]
+    offered = ReadRecorder(slices)
+    kept = sets.keep_cf_sums(offered)
+    readable = max(1, bound // len(sets.ids))
+    assert offered.read == set(range(min(readable, len(slices))))
+    cells = np.cumsum([len(sets.ids) + sum(len(owned[user]) for user in s.users()) for s in slices])
+    assert kept == max(1, np.count_nonzero(cells <= bound))  # the longest prefix within the bound, one slice at least
+    for slice_ in slices[:kept]:
+        assert sets.cf_sums(slice_).tolist() == EntitySets(owned, CF_USERS).cf_sums(slice_).tolist()
 
 
 @pytest.mark.parametrize("kind", ["purchases", "groups"])
