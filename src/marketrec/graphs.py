@@ -102,32 +102,15 @@ class InteractionGraph:
     def shared_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the users two hops from ``users[i]``, ascending, and their shared neighbour counts.
 
-        If ``users[i]`` and its neighbours are light, one ``np.bincount`` of their lists counts. Else the reach is
-        the OR of the neighbours' rows; each count is the bit count of the AND of two rows. A reach of half the users
-        or more (as a neighbour of that degree implies) ANDs every row where it lies and keeps the nonzero counts: a
-        gather copies each row it reads. Both packed paths read at most CHUNK_BYTES of rows at a time.
+        If ``users[i]`` and its neighbours are light, one ``np.bincount`` of their lists counts. Else each count is
+        the bit count of the AND of ``users[i]``'s row with every row, read CHUNK_BYTES of rows at a time, and the
+        nonzero counts are kept.
         """
         if (light := self._light_lists(i)) is not None:
             return nonzero_except(np.bincount(light[1], minlength=len(self.users)), i)
-        rows, width, words = self.rows, self.rows.shape[1], self.rows.view(np.uint64)
-        near, own, half = self.neighbor_positions(i), words[i], -(-len(self.users) // 2)
-        full = len(near) and self.degrees[near].max() >= half
-        if not full:
-            reach = np.zeros(width, np.uint8)
-            for part in row_slices(len(near), width):
-                reach |= np.bitwise_or.reduce(rows[near[part]], axis=0)
-            full = np.bitwise_count(reach).sum() >= half
-        if full:
-            counts = np.concatenate([row_counts(words[part] & own) for part in row_slices(len(words), width)])
-            return nonzero_except(counts, i)
-        two_hop = np.flatnonzero(np.unpackbits(reach, count=len(self.users), bitorder="little"))
-        two_hop = two_hop[two_hop != i]
-        counts = np.empty(len(two_hop), np.int64)
-        for part in row_slices(len(two_hop), width):
-            shared = words[two_hop[part]]
-            shared &= own  # in place: allocating a second temporary costs more than the AND
-            counts[part] = row_counts(shared)
-        return two_hop, counts
+        words = self.rows.view(np.uint64)
+        counts = [row_counts(words[part] & words[i]) for part in row_slices(len(words), self.rows.shape[1])]
+        return nonzero_except(np.concatenate(counts), i)
 
     def pair_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the neighbours of ``users[i]``, ascending, and for each the larger count in ``edges`` of

@@ -261,40 +261,42 @@ def assert_shared_counts(graph, i):
     assert (positions.tolist(), counts.tolist()) == shared_by_brute_force(graph, i)
 
 
-# case -> (users, edges among positions, path taken). Target 0's neighbours are 1 and 2, and
-# ceil(U / 2) is 6 for U = 12 and 7 for U = 13. The reach, the OR of the neighbours' rows,
-# holds the target too.
+# case -> (users, edges among positions). Target 0's neighbours are 1 and 2, so its degree · 8 ≥ U and its row
+# is heavy; the names tell the cases apart by how many users its neighbours reach.
 _PATH_CASES = {
-    "neighbour of degree ceil(U/2)": (
-        12, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (3, 4)], "shortcut"),
+    "neighbour of degree ceil(U/2)": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (3, 4)]),
     "reach 7 of 12, degrees below 6": (
-        12, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5), (2, 6), (2, 7)], "scan"),
-    "reach 4 of 12": (12, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4)], "gather"),
-    "reach exactly 6 of 12": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7)], "scan"),
-    "reach 5 of 12": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], "gather"),
-    "reach exactly 7 of 13": (
-        13, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8), (9, 10)], "scan"),
-    "reach 6 of 13": (13, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (9, 10), (9, 11)], "gather"),
+        12, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5), (2, 6), (2, 7)]),
+    "reach 4 of 12": (12, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4)]),
+    "reach exactly 6 of 12": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7)]),
+    "reach 5 of 12": (12, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]),
+    "reach exactly 7 of 13": (13, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8), (9, 10)]),
+    "reach 6 of 13": (13, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (9, 10), (9, 11)]),
 }
 
 
 @pytest.mark.parametrize("case", _PATH_CASES)
 def test_shared_counts_paths_match_set_intersections(monkeypatch, case):
-    """A reach of at least half the users ANDs every row; a smaller one gathers the reached rows."""
-    size, edges, path = _PATH_CASES[case]
+    """A heavy target ANDs its row with every row in one pass over all users, read one or all rows at a time."""
+    size, edges = _PATH_CASES[case]
     users = [f"u{i:02d}" for i in range(size)]
     graph = InteractionGraph(frozenset(users), [(users[a], users[b]) for a, b in edges])
-    sliced = []  # the row counts handed to graphs.row_slices: the reach OR's, then the AND's
+    sliced, read = [], []  # the row counts handed to graphs.row_slices, and the rows in each slice it gave
 
     def record(count, width):
         sliced.append(count)
-        return row_slices(count, width)
+        parts = list(row_slices(count, width))
+        read.extend(len(range(count)[part]) for part in parts)
+        return iter(parts)
 
     monkeypatch.setattr(graphs, "row_slices", record)
-    assert_shared_counts(graph, 0)
-    reach = len(graph.neighbors(users[1]) | graph.neighbors(users[2]))
-    expected = {"shortcut": [size], "scan": [2, size], "gather": [2, reach - 1]}[path]
-    assert sliced == expected
+    for chunk, rows_per_slice in [(8, 1), (graphs.CHUNK_BYTES, size)]:  # a row of U ≤ 64 bits is 8 bytes
+        monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk)
+        sliced.clear()
+        read.clear()
+        assert_shared_counts(graph, 0)
+        assert sliced == [size]
+        assert read == [rows_per_slice] * (size // rows_per_slice)
 
 
 def oracle_adjacency(edges, groups):
