@@ -13,23 +13,27 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Collection, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
 from .corpus import PURCHASE_KINDS, Corpus, Product, with_purchases
+# perfbench/tracer.py patches the recommender functions under these names, so even unused ones stay imported
 from .recommender import (
     DEFAULT_N,
     TASK_LISTS,
-    RecommendationList,
+    category_shares,
     cf_categories,
     cf_products,
     list_items,
     most_popular,
     normalize_scores,
-    popularity_counts,  # unused here, but perfbench/tracer.py patches it under this name
+    normalized_rows,
+    popularity_counts,
+    weighted_rows,
     weighted_sum_hybrid,
 )
 from .simfeatures import DEFAULT_K, SimilarityContext, parse_feature_id
@@ -266,8 +270,9 @@ class EvalReport:
 
 
 class _Engine:
-    """Caches slices, recommendation lists and relevant sets over one split's training data.
+    """Caches slices, list columns and relevant keys over one split's training data.
 
+    A column is E × min(n, T) int32 codes (-1 pads) and float64 scores over the kind's T-item table in ``tables``.
     An engine over a split of ``outer``'s training data takes from ``outer``
     every slice whose feature reads no entity kind of ``PURCHASE_KINDS``:
     graph features and group, interest and location content features read
@@ -285,7 +290,10 @@ class _Engine:
         self.knn_k = knn_k
         self.n = list_length
         self._slices: dict = {}
-        self._lists: dict = {}  # (recommender id, list kind) -> the eligible users' lists, in eligible order
+        self._lists: dict = {}  # (recommender id, list kind) -> its column's code and score blocks
+        # list kind -> item id -> code, its place in id order among the items that the training products stand for
+        items = {kind: sorted(set(list_items(corpus, kind, self.purchase_sets.ids))) for kind in TASK_LISTS.values()}
+        self.tables = {kind: {item: code for code, item in enumerate(found)} for kind, found in items.items()}
         self._relevant: dict = {}
 
     def slice_for(self, feature_id, user):
@@ -296,85 +304,92 @@ class _Engine:
             per_user[user] = self.context.k_nearest(feature_id, user, self.knn_k)
         return per_user[user]
 
-    def lists(self, rec: RecommenderDef, kind: str) -> Iterable[RecommendationList]:
-        """The eligible users' lists of one kind, in ``eligible`` order, kept per (recommender, kind).
+    def lists(self, rec: RecommenderDef, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The eligible users' lists of one kind, in ``eligible`` order, as an E × min(n, T) code and score block.
 
-        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served. A hybrid must carry
-        its weights: its lists are combined from its components' kept lists as they are read and never kept, so a
-        hybrid cannot shadow a component of the same name.
+        Kept per (recommender, kind), but for a hybrid's, which must carry its weights: weighted_rows combines its
+        positive-weight components' normalized kept blocks when it is read, so it cannot shadow a component's name.
+        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served.
         """
-        if isinstance(rec, HybridDef):  # a generator builds its outermost iterable, the components' columns, at once
-            rows = zip(self.eligible, *(self.lists(c, kind) for c in rec.components))
-            return (weighted_sum_hybrid(dict(zip(rec.components, map(normalize_scores, row))), rec.weights, self.n,
-                                        target=user, kind=kind) for user, *row in rows)
+        if isinstance(rec, HybridDef):
+            parts = [(*self.lists(c, kind), rec.weights[c]) for c in sorted(rec.components) if rec.weights[c] > 0]
+            parts = [(codes, normalized_rows(codes, scores), w) for codes, scores, w in parts]
+            return weighted_rows(parts, len(self.eligible), min(self.n, len(self.tables[kind])), len(self.tables[kind]))
         if (rec, kind) not in self._lists:
-            if rec == MOST_POPULAR_ID:
-                ranking, owned = most_popular(self.training, kind, None).items, self.purchase_sets.get
-                self._lists[rec, kind] = [most_popular(self.training, kind, self.n, owned=owned(u, frozenset()),
-                                                       target=u, ranking=ranking) for u in self.eligible]
+            at, sets, n = self.tables[kind], self.purchase_sets, min(self.n, len(self.tables[kind]))
+            blocks = [_block([], n)]  # each a code block and a score block, in eligible order
+            if rec == MOST_POPULAR_ID:  # product rows walk the ranking past each user's own products
+                ranking = [(item, at[item], score) for item, score in most_popular(self.training, kind, None).items]
+                owned = [sets.get(user, ()) for user in self.eligible] if kind == "product" else [()]
+                rows = [list(islice(((c, s) for p, c, s in ranking if p not in own), n)) for own in owned]
+                blocks.append(_block(rows if kind == "product" else rows * len(self.eligible), n))
             else:
-                make = cf_products if kind == "product" else partial(cf_categories, corpus=self.corpus, kind=kind)
-                slices, column, sets = [self.slice_for(rec, user) for user in self.eligible], [], self.purchase_sets
-                while len(column) < len(slices):
-                    rest = slices[len(column) :]
-                    column += [make(slice_, purchase_sets=sets, n=self.n) for slice_ in rest[: sets.keep_cf_sums(rest)]]
-                self._lists[rec, kind] = column
+                slices, done = [self.slice_for(rec, user) for user in self.eligible], 0
+                while done < len(slices):
+                    kept = slices[done:][: sets.keep_cf_sums(slices[done:])]
+                    done += len(kept)
+                    if kind == "product":  # a cf_products list each: tests patch this name (ROADMAP item 1b)
+                        made = (cf_products(slice_, purchase_sets=sets, n=n).items for slice_ in kept)
+                        blocks.append(_block([[(at[p], s) for p, s in items] for items in made], n))
+                    else:
+                        blocks.append(category_shares(np.stack([*map(sets.cf_sums, kept)]), sets, self.corpus, kind, n))
+            self._lists[rec, kind] = tuple(map(np.concatenate, zip(*blocks)))
         return self._lists[rec, kind]
 
-    def relevant(self, task) -> list[frozenset[str]]:
-        """The eligible users' withheld items as ``task``'s list kind, in ``eligible`` order."""
+    def relevant(self, task) -> tuple[np.ndarray, np.ndarray]:
+        """The eligible users' numbers of withheld items as ``task``'s list kind, in ``eligible`` order, and the
+        sorted keys row · T + code of those in the kind's table of T items; an item outside it is never listed."""
         if task not in self._relevant:
-            items = partial(list_items, self.corpus, TASK_LISTS[task])
-            self._relevant[task] = [frozenset(items(self.split.test[user])) for user in self.eligible]
+            at = self.tables[TASK_LISTS[task]]
+            items = [frozenset(list_items(self.corpus, TASK_LISTS[task], self.split.test[u])) for u in self.eligible]
+            keys = [row * len(at) + at[i] for row, found in enumerate(items) for i in found if i in at]
+            self._relevant[task] = np.array(list(map(len, items)), int), np.sort(np.array(keys, np.int64))
         return self._relevant[task]
 
-    @cached_property
-    def category_classes(self) -> tuple[dict[str, int], Callable[[int, int], float]]:
-        """Product id -> code of its category set, and the cached distance of two codes.
+    def hits(self, task, codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each code of a ``task`` column is relevant, padded False to ``width``, and the relevant set sizes."""
+        rows = np.arange(len(codes))[:, None] * len(self.tables[TASK_LISTS[task]])
+        found = (codes >= 0) & np.isin(rows + codes, self.relevant(task)[1])
+        return np.pad(found, ((0, 0), (0, width - codes.shape[1]))), self.relevant(task)[0]
 
-        Built when diversity is first measured, so the weighting engine never
-        builds it. The code distance of two distinct products is their
-        category_distance, and no engine list repeats a product.
+    @cached_property
+    def category_classes(self) -> tuple[np.ndarray, Callable[[int, int], float]]:
+        """The int32 code of each training product's category set by product position, then -1 that a pad gathers,
+        and the cached distance of two codes.
+
+        Built when diversity is first measured, so the weighting engine never builds it. The code distance of two
+        distinct products is their category_distance, and no engine list repeats a product.
         """
         classes: dict[frozenset[str], int] = {}
-        codes = {
-            p.id: classes.setdefault(frozenset(p.category_path), len(classes))
-            for p in self.corpus.products.values()
-        }
+        paths = (frozenset(self.corpus.products[p].category_path) for p in self.purchase_sets.ids)
+        codes = np.array([*(classes.setdefault(path, len(classes)) for path in paths), -1], np.int32)
         sets = tuple(classes)
         return codes, cache(lambda a, b: _category_set_distance(sets[a], sets[b]))
+
+
+def _block(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An E × n block of int32 codes, -1 padding a short row, and one of float64 scores from each row's pairs."""
+    filled = np.arange(n) < np.array([len(row) for row in rows], int)[:, None]
+    block = np.full(filled.shape, -1, np.int32), np.zeros(filled.shape)
+    block[0][filled], block[1][filled] = np.array([pair for row in rows for pair in row], float).reshape(-1, 2).T
+    return block
 
 
 def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     """Run one recommender over all eligible users and aggregate the metrics.
 
-    Accuracy reads the task lists' hit rows; coverage and diversity read the
-    product lists (on the products task, the task lists) as category-class
+    Accuracy reads the task column's hits; coverage and diversity read the
+    product column (on the products task, the task column) as category-class
     codes. Users go in sorted order. Returns the report row, the curve points,
     and diagnostic counts.
     """
-    name = _display_id(rec)
-    n = engine.n
-    width = max(n, len(CURVE_KS))
-    codes, class_distance = engine.category_classes
-    hits, classes, sizes = [], [], []  # hit rows, product-list class rows, relevant-set sizes
-    served_products = served_task = short_product_lists = 0
-    task_ids = map(RecommendationList.item_ids, engine.lists(rec, TASK_LISTS[task]))
-    if task == "products":  # the product list is the task list: each list is read once
-        rows = ((ids, ids) for ids in task_ids)
-    else:
-        rows = zip(task_ids, map(RecommendationList.item_ids, engine.lists(rec, "product")))
-
-    for (ids, product_ids), relevant in zip(rows, engine.relevant(task)):
-        served_task += len(ids) > 0
-        served_products += len(product_ids) > 0
-        short_product_lists += len(product_ids) < 2
-        sizes.append(len(relevant))
-        hits += _hit_row(ids, relevant, width)
-        classes += ([codes[p] for p in product_ids] + [-1] * n)[:n]
-
-    ndcg_sum, recall, precision = _accuracy_sums(hits, sizes, n, width)
-    diversity = _diversity_rows(np.array(classes, dtype=np.int32).reshape(-1, n), class_distance)
+    name, n, width = _display_id(rec), engine.n, max(engine.n, len(CURVE_KS))
+    codes = engine.lists(rec, TASK_LISTS[task])[0]
+    products = codes if task == "products" else engine.lists(rec, "product")[0]
+    lengths = np.count_nonzero(products >= 0, axis=1)
+    served_task = np.count_nonzero(codes[:, :1] >= 0)
+    ndcg_sum, recall, precision = _accuracy_sums(*engine.hits(task, codes, width), n, width)
+    diversity = _diversity_rows(engine.category_classes[0][products], engine.category_classes[1])
     total = len(engine.eligible)
     accuracy_base = total if averaging == "harsh" else served_task
     acc = (lambda s: s / accuracy_base) if accuracy_base else (lambda s: 0.0)
@@ -384,19 +399,16 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
         precision=acc(precision[n - 1]),
         recall=acc(recall[n - 1]),
         diversity=_ordered_sums(diversity) / total if total else 0.0,
-        coverage=served_products / total if total else 0.0,
+        coverage=int(np.count_nonzero(lengths)) / total if total else 0.0,
     )
     curves = [CurvePoint(name, k, acc(recall[k - 1]), acc(precision[k - 1])) for k in CURVE_KS]
-    return row, curves, {"served": served_task, "short_product_lists": short_product_lists}
+    return row, curves, {"served": served_task, "short_product_lists": int(np.count_nonzero(lengths < 2))}
 
 
 def _harsh_ndcg(engine: _Engine, rec_id: str, task: str) -> float:
     """Harsh mean nDCG@N of one recommender's task lists: _evaluate's row.ndcg alone."""
-    hits, sizes = [], []
-    for task_list, relevant in zip(engine.lists(rec_id, TASK_LISTS[task]), engine.relevant(task)):
-        sizes.append(len(relevant))
-        hits += _hit_row(task_list.item_ids(), relevant, engine.n)
-    return _accuracy_sums(hits, sizes, engine.n, engine.n)[0] / len(sizes) if sizes else 0.0
+    hits, sizes = engine.hits(task, engine.lists(rec_id, TASK_LISTS[task])[0], engine.n)
+    return _accuracy_sums(hits, sizes, engine.n, engine.n)[0] / len(sizes) if len(sizes) else 0.0
 
 
 def run_experiment(

@@ -123,35 +123,47 @@ def cf_categories(
 
     The pool is every product a neighbour owns and the target does not: the nonzero CF sums. Each
     adds its category of ``kind`` ("top_category" or "low_category") once, an uncategorized one none,
-    and a category scores its share of them. ``purchase_sets.codes`` keeps per extractor and product table
-    the sorted category ids' codes by product position, so one ``np.bincount`` counts, and ties break by id.
+    and a category scores its share of them: the one-row case of ``category_shares``, with names.
     """
     if _EXTRACTOR_BY_KIND.get(kind) is None:
         raise ValueError(f"kind must be 'top_category' or 'low_category', got {kind!r}")
+    check_length(n)
     sums = _cf_sums(slice_, purchase_sets)
+    categories = purchase_sets.codes(_EXTRACTOR_BY_KIND[kind], corpus.products)[0]
+    width = len(categories) if n is None else min(n, len(categories))  # category_shares allocates n columns a row
+    (row,), (shares,) = category_shares(sums[None], purchase_sets, corpus, kind, width)
+    items = zip(map(categories.__getitem__, row[row >= 0].tolist()), shares[row >= 0].tolist())
+    return RecommendationList(target=slice_.target, kind=kind, items=tuple(items))
+
+
+def category_shares(sums: np.ndarray, purchase_sets: EntitySets, corpus: Corpus, kind: str, n: int):
+    """Each row of CF ``sums``: its ``n`` best categories of ``kind`` by share of its pool (the positions of positive
+    sums), ties by code, as int32 codes into ``purchase_sets.codes``' sorted categories (-1 pads) and float64 shares,
+    n columns each. ``purchase_sets.codes`` keeps each position's code, so one ``np.bincount`` counts every row."""
     categories, codes = purchase_sets.codes(_EXTRACTOR_BY_KIND[kind], corpus.products)
-    counts = np.bincount(codes[sums > 0], minlength=len(categories) + 1)[:-1]
-    present = counts.nonzero()[0]
-    positions, shares = best_first(present, counts[present] / counts.sum(), n)
-    names = map(categories.__getitem__, positions.tolist())
-    return RecommendationList(target=slice_.target, kind=kind, items=tuple(zip(names, shares.tolist())))
+    size, (rows, at) = len(categories), (sums > 0).nonzero()  # size: the code of no category
+    counts = np.bincount(rows * (size + 1) + codes[at], minlength=len(sums) * (size + 1)).reshape(-1, size + 1)
+    counts = counts[:, :size]
+    shares = np.zeros((len(sums), max(size, n)))  # zero columns past ``size``: every row has n entries to sort
+    np.divide(counts, counts.sum(axis=1, keepdims=True), out=shares[:, :size], where=counts > 0)
+    order = (-shares).argsort(axis=1, kind="stable")[:, :n]
+    top = np.take_along_axis(shares, order, axis=1)
+    return np.where(top > 0, order, -1).astype(np.int32), top
 
 
 def normalize_scores(rec: RecommendationList) -> RecommendationList:
-    """Min-max rescale scores to [0, 1] within one list, preserving order.
+    """Min-max rescale scores to [0, 1] within one list, preserving order: the one-row case of normalized_rows."""
+    scores = normalized_rows(np.zeros((1, len(rec)), np.int32), np.array([[s for _, s in rec.items]]))
+    return RecommendationList(target=rec.target, kind=rec.kind, items=tuple(zip(rec.item_ids(), scores[0].tolist())))
 
-    Constant-score lists map to all ones; empty lists are returned unchanged.
-    """
-    if not rec.items:
-        return rec
-    values = [score for _, score in rec.items]
-    low, high = min(values), max(values)
-    if high == low:
-        items = tuple((item, 1.0) for item, _ in rec.items)
-    else:
-        span = high - low
-        items = tuple((item, (score - low) / span) for item, score in rec.items)
-    return RecommendationList(target=rec.target, kind=rec.kind, items=items)
+
+def normalized_rows(codes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Each row's scores min-max rescaled to [0, 1] over its items (``codes`` >= 0); a span of 0 gives 1.0, as do
+    pads. An empty row's low of inf and span of -inf are never divided, so it warns of nothing."""
+    filled = codes >= 0
+    low = scores.min(axis=1, initial=np.inf, where=filled, keepdims=True)
+    span = scores.max(axis=1, initial=-np.inf, where=filled, keepdims=True) - low
+    return np.divide(scores - low, span, out=np.ones(scores.shape), where=filled & (span != 0))
 
 
 def weighted_sum_hybrid(
@@ -161,17 +173,33 @@ def weighted_sum_hybrid(
     target: str = "",
     kind: str = "",
 ) -> RecommendationList:
-    """Combine normalized component lists into one ranking for ``target`` and ``kind``.
+    """Combine normalized component lists into one ranking for ``target`` and ``kind``: weighted_rows of one row.
 
-    An item's combined score sums, over the components, its score in that
-    component (0 if absent) times the component weight. Component lists must
-    already be normalized and belong to the same target and kind.
+    An item's combined score sums, over the components, its score in that component (0 if absent) times the
+    component weight. Component lists must already be normalized and belong to the same target and kind.
     """
-    combined: dict[str, float] = {}
-    for component in sorted(lists):
-        weight = weights.get(component, 0.0)
-        if weight <= 0:
-            continue
-        for item, score in lists[component].items:
-            combined[item] = combined.get(item, 0.0) + weight * score
-    return RecommendationList(target=target, kind=kind, items=tuple(top_n(combined, n)))
+    check_length(n)
+    table = sorted({item for made in lists.values() for item in made.item_ids()})
+    parts = [(np.array([[bisect_left(table, item) for item in lists[c].item_ids()]], np.int32),
+              np.array([[s for _, s in lists[c].items]]), weights[c]) for c in sorted(lists) if weights.get(c, 0.0) > 0]
+    (codes,), (scores,) = weighted_rows(parts, 1, len(table) if n is None else min(n, len(table)), len(table))
+    items = zip(map(table.__getitem__, codes[codes >= 0].tolist()), scores[codes >= 0].tolist())
+    return RecommendationList(target=target, kind=kind, items=tuple(items))
+
+
+def weighted_rows(parts, rows: int, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` best items of each of ``rows`` rows by weighted sum, as int32 codes (-1 pads) and float64 scores.
+
+    ``parts`` holds each component's codes into a table of ``size`` items, normalized scores and weight (> 0), in
+    sorted component order. One ``np.bincount`` of the (row, code) keys in that order adds each sum from 0.0, as a
+    dict would. Every key ranks, a sum of 0.0 too, ties by code; memory is O(rows · Σ widths), not rows × size."""
+    keys = np.concatenate([np.empty(0, int), *((np.arange(rows)[:, None] * size + c)[c >= 0] for c, _, _ in parts)])
+    found, at = np.unique(keys, return_inverse=True)
+    sums = np.bincount(at, np.concatenate([np.empty(0), *(w * s[c >= 0] for c, s, w in parts)]), len(found))
+    row, code = np.divmod(found, max(size, 1))
+    order = np.lexsort((code, -sums, row))
+    row, code, sums = row[order], code[order], sums[order]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)  # place within the row
+    block, keep = (np.full((rows, n), -1, np.int32), np.zeros((rows, n))), rank < n
+    block[0][row[keep], rank[keep]], block[1][row[keep], rank[keep]] = code[keep], sums[keep]
+    return block

@@ -19,6 +19,7 @@ from marketrec.evalharness import (
     EvalReport,
     HybridDef,
     ReportRow,
+    Split,
     _Engine,
     _evaluate,
     _harsh_ndcg,
@@ -35,7 +36,14 @@ from marketrec.evalharness import (
     run_experiment,
     write_report,
 )
-from marketrec.recommender import TASK_LISTS, RecommendationList, cf_categories, cf_products
+from marketrec.recommender import (
+    TASK_LISTS,
+    cf_categories,
+    cf_products,
+    most_popular,
+    normalize_scores,
+    weighted_sum_hybrid,
+)
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
     DEFAULT_K,
@@ -355,11 +363,24 @@ def test_diversity_rows_look_each_class_pair_up_once_across_passes():
     assert result.tolist() == [oracles.diversity(row, lambda a, b: value(min(a, b), max(a, b))) for row in rows]
 
 
+def _column(engine, rec, kind):
+    """Each eligible user's list in the engine's column of ``rec`` and ``kind``: its codes read through the kind's
+    item table as (id, score) pairs, pads dropped."""
+    table = list(engine.tables[kind])
+    codes, scores = engine.lists(rec, kind)
+    assert codes.shape == scores.shape == (len(engine.eligible), min(engine.n, len(table))) and codes.dtype == np.int32
+    assert (np.diff((codes >= 0).astype(int), axis=1) <= 0).all()  # -1 pads only trail a row
+    return [tuple((table[c], s) for c, s in zip(*row) if c >= 0) for row in zip(codes.tolist(), scores.tolist())]
+
+
 def test_class_distance_equals_path_distance(small_corpus):
     engine = _Engine(small_corpus, make_split(small_corpus, seed=3), DEFAULT_K, 10)
     assert "category_classes" not in vars(engine)  # built on first use
-    codes, distance = engine.category_classes
-    products = sorted(small_corpus.products.values(), key=lambda p: p.id)
+    classes, distance = engine.category_classes
+    table = list(engine.tables["product"])
+    assert len(classes) == len(table) + 1 and classes[-1] == -1  # one code per product position, then a pad's -1
+    codes = dict(zip(table, classes.tolist()))
+    products = [small_corpus.products[p] for p in table]
     paths = Counter(p.category_path for p in products)
     # uncategorized products and distinct products sharing a path both occur
     assert paths[()] >= 2 and any(count >= 2 for path, count in paths.items() if path)
@@ -388,8 +409,8 @@ def test_engine_lists_never_repeat_an_item(planted_corpus):
         recommenders = ["most_popular", *ALL_FEATURE_IDS, explicit, replace(derived, weights=weights)]
         long_lists = 0
         for rec in recommenders:
-            for user, task_list in zip(engine.eligible, engine.lists(rec, TASK_LISTS[task]), strict=True):
-                ids = task_list.item_ids()
+            for user, task_list in zip(engine.eligible, _column(engine, rec, TASK_LISTS[task]), strict=True):
+                ids = [item for item, _ in task_list]
                 assert len(set(ids)) == len(ids), (rec, task, user)
                 long_lists += len(ids) >= 2
         assert long_lists >= len(recommenders) * len(split.eligible) // 2
@@ -401,13 +422,15 @@ def test_engine_lists_never_repeat_an_item(planted_corpus):
 
 def test_perfect_recommender_scores_one(medium_corpus):
     split = make_split(medium_corpus, seed=4)
-    assert split.eligible
+    table = _Engine(medium_corpus, split, 10, 10).tables["product"]
+    # a list can only name training products: keep the users whose withheld products all are
+    listable = sorted(user for user in split.eligible if split.test[user] <= table.keys())
+    assert 10 <= len(listable) < len(split.eligible)
+    split = Split(split.training, {user: split.test[user] for user in listable}, frozenset(listable), split.seed)
     engine = _Engine(medium_corpus, split, 10, 10)
-    # the engine serves "perfect" from its list cache: each user's withheld products, in eligible order
-    engine._lists["perfect", "product"] = [
-        RecommendationList(user, "product", tuple((p, 1.0) for p in sorted(split.test[user])))
-        for user in engine.eligible
-    ]
+    # the engine serves "perfect" from its column cache: each user's withheld products, in eligible order
+    codes = np.array([sorted(table[p] for p in split.test[user]) for user in engine.eligible], np.int32)
+    engine._lists["perfect", "product"] = codes, np.ones(codes.shape)
     for rec in ("perfect", HybridDef("mix", ("perfect",), weights={"perfect": 1.0})):
         row, curves, _ = _evaluate(engine, rec, "products", "harsh")
         assert row.ndcg == pytest.approx(1.0, **APPROX)
@@ -446,21 +469,36 @@ def test_one_cf_column_is_one_block_when_the_cell_bound_allows(monkeypatch, medi
     assert kept == [len(split.eligible)] and len(split.eligible) > 32
 
 
-def test_each_engine_list_has_its_ids_read_once(monkeypatch, medium_corpus):
-    """On the products task the product list is the task list, so its ids serve both."""
+def test_engine_rows_equal_the_public_one_row_functions(medium_corpus):
+    """Every engine row, read through its kind's item table, equals the list that the public function makes alone."""
     split = make_split(medium_corpus, seed=4)
-    recommenders = ["most_popular", "mp.purchases.jaccard", HybridDef("mix", ("most_popular", "mp.purchases.jaccard"))]
-    read, item_ids = [], RecommendationList.item_ids
+    engine = _Engine(medium_corpus, split, DEFAULT_K, 10)
+    inner = _Engine(medium_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10, outer=engine)
+    features = ("mp.purchases.jaccard", "sn.graph.aa")
+    weights = {"most_popular": 0.25, features[0]: 0.0, features[1]: 1.0}
+    explicit = HybridDef("explicit", ("most_popular", *features), weights)
+    derived = HybridDef("derived", ("most_popular", *features))
+    sets, n = engine.purchase_sets, engine.n
+    for task, kind in TASK_LISTS.items():
+        ranking = most_popular(engine.training, kind, None).items
 
-    def counted(self):
-        read.append(self)  # held, so no two lists share an id()
-        return item_ids(self)
+        def one_row(rec, user):
+            if rec == "most_popular":
+                return most_popular(engine.training, kind, n, owned=sets.get(user, frozenset()), ranking=ranking)
+            if kind == "product":
+                return cf_products(engine.slice_for(rec, user), sets, n)
+            return cf_categories(engine.slice_for(rec, user), medium_corpus, sets, kind, n)
 
-    monkeypatch.setattr(RecommendationList, "item_ids", counted)
-    for task in ("products", "low_categories"):
-        run_experiment(medium_corpus, split, recommenders, task)
-    reads = Counter(map(id, read))
-    assert len(reads) >= 2 * len(recommenders) * len(split.eligible) and set(reads.values()) == {1}
+        weighted = replace(derived, weights={c: _harsh_ndcg(inner, c, task) for c in derived.components})
+        assert sum(w > 0 for w in weighted.weights.values()) >= 2
+        for rec in ("most_popular", *features, explicit, weighted):
+            for user, row in zip(engine.eligible, _column(engine, rec, kind), strict=True):
+                if isinstance(rec, HybridDef):
+                    lists = {c: normalize_scores(one_row(c, user)) for c in rec.components}
+                    expected = weighted_sum_hybrid(lists, rec.weights, n)
+                else:
+                    expected = one_row(rec, user)
+                assert row == expected.items, (rec, kind, user)
 
 
 def test_most_popular_full_coverage(medium_corpus):
@@ -626,8 +664,8 @@ def test_curve_points_equal_mean_oracle_recall_and_precision(task, list_length):
     lengths = set()
     for rec_id in recommenders:
         recall_sums, precision_sums = [0.0] * 10, [0.0] * 10
-        for user, task_list in zip(sorted(split.eligible), engine.lists(rec_id, TASK_LISTS[task]), strict=True):
-            ids = task_list.item_ids()
+        for user, task_list in zip(sorted(split.eligible), _column(engine, rec_id, TASK_LISTS[task]), strict=True):
+            ids = [item for item, _ in task_list]
             lengths.add(len(ids))
             relevant = _oracle_relevant(corpus, task, split.test[user])
             if user == "bare" and task != "products":
@@ -718,9 +756,9 @@ def test_product_lists_never_contain_training_purchases(medium_corpus):
     weights = {"mp.purchases.jaccard": 0.5, "sn.graph.cn": 0.5}
     hybrid = HybridDef("mix", ("mp.purchases.jaccard", "sn.graph.cn"), weights=weights)
     for rec in ("most_popular", "mp.purchases.jaccard", "sn.graph.cn", hybrid):
-        for user, product_list in zip(sorted(split.eligible), engine.lists(rec, "product"), strict=True):
+        for user, product_list in zip(sorted(split.eligible), _column(engine, rec, "product"), strict=True):
             owned = engine.purchase_sets.get(user, frozenset())
-            assert owned.isdisjoint(product_list.item_ids())
+            assert owned.isdisjoint(item for item, _ in product_list)
 
 
 def test_unknown_feature_id_rejected(medium_corpus):

@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -15,7 +17,9 @@ from marketrec.recommender import (
     list_items,
     most_popular,
     normalize_scores,
+    normalized_rows,
     popularity_counts,
+    weighted_rows,
     weighted_sum_hybrid,
 )
 from marketrec.simfeatures import EntitySets, SimilarityContext, SimilarityMatrixSlice, top_n
@@ -568,10 +572,50 @@ def _random_lists(rng, n_components=3, n_items=6):
     return lists
 
 
+# rows of the block combiner's edge cases, over the components of _random_lists
+EDGE_ROWS = (
+    {"c0": rec([]), "c1": rec([("p1", 0.3), ("p2", 0.2)]), "c2": rec([])},  # empty component rows
+    {"c0": rec([("p1", 0.5), ("p4", 0.5)]), "c1": rec([("p1", 2.0)]), "c2": rec([("p3", 1.0), ("p4", 0.0)])},
+    {"c0": rec([("p2", 3.0), ("p5", 1.0)]), "c1": rec([("p0", 1.0)]), "c2": rec([("p2", 4.0), ("p5", 2.0)])},
+    {"c0": rec([]), "c1": rec([]), "c2": rec([])},
+)
+
+
+def _loop_hybrid(lists, weights, n):
+    """The normalized weighted-sum hybrid as loops over a dict, the reference for normalized_rows and weighted_rows:
+    min-max per list (a span of 0 gives 1.0), then weight × score added in sorted component order from 0.0."""
+    combined = {}
+    for c in sorted(lists):
+        scores = [score for _, score in lists[c].items]
+        low, high = min(scores, default=0.0), max(scores, default=0.0)
+        for item, score in lists[c].items if weights.get(c, 0.0) > 0 else ():
+            normalized = 1.0 if high == low else (score - low) / (high - low)
+            combined[item] = combined.get(item, 0.0) + weights[c] * normalized
+    return tuple(oracles.ranked(combined, n))
+
+
+def _block_hybrid(rows, weights, n):
+    """weighted_rows over the normalized_rows of each component's block of ``rows``, read back as (id, score) rows."""
+    table = sorted({item for row in rows for made in row.values() for item in made.item_ids()})
+    parts = []
+    for c in sorted(weights):
+        width = max(len(row[c]) for row in rows)
+        codes, scores = np.full((len(rows), width), -1, np.int32), np.zeros((len(rows), width))
+        for r, row in enumerate(rows):
+            for i, (item, score) in enumerate(row[c].items):
+                codes[r, i], scores[r, i] = table.index(item), score
+        if weights[c] > 0:
+            parts.append((codes, normalized_rows(codes, scores), weights[c]))
+    codes, scores = weighted_rows(parts, len(rows), n, len(table))
+    return [tuple((table[c], s) for c, s in zip(*row) if c >= 0) for row in zip(codes.tolist(), scores.tolist())]
+
+
 def test_hybrid_scaling_invariance_random_cases():
     rng = random.Random(1234)
+    rows = list(EDGE_ROWS)
     for _ in range(300):
         lists = _random_lists(rng)
+        rows.append(lists)
         weights = {c: rng.random() for c in lists}
         if not any(weights.values()):
             continue
@@ -579,6 +623,19 @@ def test_hybrid_scaling_invariance_random_cases():
         base = weighted_sum_hybrid(lists, weights, 5)
         scaled = weighted_sum_hybrid(lists, {c: w * scale for c, w in weights.items()}, 5)
         assert base.item_ids() == scaled.item_ids()
+    # the block combiner and the one-row hybrid equal the loops row by row, without a numpy warning: on empty and
+    # constant component rows, a weighted sum of exactly 0.0, all-zero weights and n past the item table (6 items)
+    sums = [weighted_sum_hybrid({c: normalize_scores(made) for c, made in row.items()}, {"c0": 1.0, "c2": 0.5}, 3)
+            for row in EDGE_ROWS]  # c0 of the second row is constant, and p5 of the third sums to 0.0 in c0 and c2
+    assert sums[1].items[0] == ("p1", 1.0) and sums[2].items == (("p2", 1.5), ("p5", 0.0)) and sums[3].items == ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ({"c0": 0.7, "c1": 0.3, "c2": 0.11}, {"c0": 0.0, "c1": 0.7, "c2": 0.0}, dict.fromkeys(lists, 0)):
+            for n in (1, 5, 9):
+                expected = [_loop_hybrid(row, weights, n) for row in rows]
+                assert _block_hybrid(rows, weights, n) == expected
+                assert [weighted_sum_hybrid({c: normalize_scores(made) for c, made in row.items()}, weights, n).items
+                        for row in rows] == expected
 
 
 def test_eq10_monotonicity_adding_owner_never_decreases_score():
