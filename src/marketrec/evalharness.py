@@ -108,44 +108,46 @@ def _withhold(purchases, seed: int, count: Callable[[str, int], int]) -> Split:
     return Split(training=training, test=test, eligible=frozenset(test), seed=seed)
 
 
-def _hit_row(recommended: Sequence[str], relevant: Collection[str], k: int) -> list[bool]:
-    """Whether each position 1..k holds a relevant item, padded False; a repeated item hits once, first."""
+def _hit_row(recommended: Sequence[str], relevant: Collection[str], k: int) -> list[list[bool]]:
+    """Whether each of the first k positions holds a relevant item, as a block of one row; a repeat hits once, first."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    row, seen = [False] * k, set()
+    row, seen = [False] * len(recommended[:k]), set()
     for position, item in enumerate(recommended[:k]):
         if item in relevant and item not in seen:
             row[position] = True
             seen.add(item)
-    return row
+    return [row]
 
 
-def _accuracy_sums(hits: list[bool], sizes: list[int], k: int, width: int) -> list:
-    """nDCG@k, and recall and precision at cut-offs 1..width, each summed over the lists in order.
+def _accuracy_sums(hits, sizes: list[int], k: int, cuts: Sequence[int]) -> list:
+    """nDCG@k, and recall and precision at each cut-off of ``cuts``, each summed over the lists in order.
 
-    ``hits`` holds one _hit_row of ``width`` per list and ``sizes`` each list's
-    number of relevant items. The hit at position p gains 1/log2(1 + p), over
-    the ideal DCG of min(size, k) hits; with nothing relevant, nDCG and recall are 0.
+    ``hits`` holds one row per list of whether each listed position is relevant, and ``sizes`` each list's
+    number of relevant items. Past a row's end nothing hits, so its hit count stays and precision at a longer
+    cut-off c is that count / c. The hit at position p gains 1/log2(1 + p), over the ideal DCG of min(size, k)
+    hits; with nothing relevant, nDCG and recall are 0.
     """
-    hits = np.array(hits, dtype=bool).reshape(-1, width)
+    hits = np.pad(np.asarray(hits, dtype=bool), ((0, 0), (0, 1)))  # one miss past the end: no row is empty
     sizes = np.array(sizes, dtype=np.int64)[:, None]
-    discounts = np.array([1.0 / math.log2(1 + position) for position in range(1, k + 1)])
+    depth = min(k, max(hits.shape[1], sizes.max(initial=0)))  # the discounts that a hit or the ideal DCG reads
+    discounts = np.array([1.0 / math.log2(1 + position) for position in range(1, depth + 1)])
     # a list with nothing relevant has no hit, so the ideal DCG of k hits gives it 0 as well
     ideal = np.cumsum(discounts)[np.minimum(sizes[:, 0], k) - 1]
-    ndcg = np.cumsum(hits[:, :k] * discounts, axis=1)[:, -1] / ideal
-    counts = np.cumsum(hits, axis=1)
+    ndcg = np.cumsum(hits[:, :depth] * discounts[: hits.shape[1]], axis=1)[:, -1] / ideal
+    counts = np.cumsum(hits, axis=1)[:, np.minimum(cuts, hits.shape[1]) - 1]
     recall = np.divide(counts, sizes, out=np.zeros(counts.shape), where=sizes > 0)
-    return [_ordered_sums(rows) for rows in (ndcg, recall, counts / np.arange(1, width + 1))]
+    return [_ordered_sums(rows) for rows in (ndcg, recall, counts / np.array(cuts))]
 
 
 def recall_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by the number of relevant items (0 if none)."""
-    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, k)[1][-1]
+    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, [k])[1][-1]
 
 
 def precision_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
     """Hits among the top k divided by k, even when fewer items were produced."""
-    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, k)[2][-1]
+    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, [k])[2][-1]
 
 
 def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k: int) -> float:
@@ -154,7 +156,7 @@ def ndcg_at_k(recommended: Sequence[str], relevant: frozenset[str] | set[str], k
     The ideal ranking places min(|relevant|, k) relevant items on top; returns
     0 when there are no relevant items.
     """
-    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, k)[0]
+    return _accuracy_sums(_hit_row(recommended, relevant, k), [len(relevant)], k, [k])[0]
 
 
 def category_distance(a: Product, b: Product) -> float:
@@ -272,15 +274,17 @@ class EvalReport:
 class _Engine:
     """Caches slices, list columns and relevant keys over one split's training data.
 
-    A column is E × min(n, T) int32 codes (-1 pads) and float64 scores over the kind's T-item table in ``tables``.
+    A column is E × min(n, T) int32 codes (-1 pads) and float64 scores over the kind's T-item table in ``tables``;
+    ``kinds`` are the list kinds that the run reads, and one walk over a CF column's slices writes all of them.
     An engine over a split of ``outer``'s training data takes from ``outer``
     every slice whose feature reads no entity kind of ``PURCHASE_KINDS``:
     graph features and group, interest and location content features read
     only rows that no split changes.
     """
 
-    def __init__(self, corpus, split, knn_k, list_length, outer: Optional[_Engine] = None):
+    def __init__(self, corpus, split, knn_k, list_length, kinds: Sequence[str], outer: Optional[_Engine] = None):
         self.corpus = corpus
+        self.kinds = tuple(kinds)
         self.split = split
         self.eligible = sorted(split.eligible)
         self.outer = outer
@@ -309,31 +313,35 @@ class _Engine:
 
         Kept per (recommender, kind), but for a hybrid's, which must carry its weights: weighted_rows combines its
         positive-weight components' normalized kept blocks when it is read, so it cannot shadow a component's name.
-        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served.
+        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served, and each kept block
+        writes the rows of every kind in ``kinds``, so a CF column is there for those kinds only.
         """
         if isinstance(rec, HybridDef):
             parts = [(*self.lists(c, kind), rec.weights[c]) for c in sorted(rec.components) if rec.weights[c] > 0]
             parts = [(codes, normalized_rows(codes, scores), w) for codes, scores, w in parts]
             return weighted_rows(parts, len(self.eligible), min(self.n, len(self.tables[kind])), len(self.tables[kind]))
         if (rec, kind) not in self._lists:
-            at, sets, n = self.tables[kind], self.purchase_sets, min(self.n, len(self.tables[kind]))
-            blocks = [_block([], n)]  # each a code block and a score block, in eligible order
+            sets, width = self.purchase_sets, {k: min(self.n, len(table)) for k, table in self.tables.items()}
             if rec == MOST_POPULAR_ID:  # product rows walk the ranking past each user's own products
-                ranking = [(item, at[item], score) for item, score in most_popular(self.training, kind, None).items]
+                ranking = most_popular(self.training, kind, None).items
                 owned = [sets.get(user, ()) for user in self.eligible] if kind == "product" else [()]
-                rows = [list(islice(((c, s) for p, c, s in ranking if p not in own), n)) for own in owned]
-                blocks.append(_block(rows if kind == "product" else rows * len(self.eligible), n))
+                rows = [list(islice(((p, s) for p, s in ranking if p not in own), width[kind])) for own in owned]
+                rows = rows if kind == "product" else rows * len(self.eligible)
+                self._lists[rec, kind] = _block(rows, self.tables[kind], width[kind])
             else:
                 slices, done = [self.slice_for(rec, user) for user in self.eligible], 0
+                blocks = {k: [_block([], {}, width[k])] for k in self.kinds}  # code and score blocks in eligible order
                 while done < len(slices):
                     kept = slices[done:][: sets.keep_cf_sums(slices[done:])]
                     done += len(kept)
-                    if kind == "product":  # a cf_products list each: tests patch this name (ROADMAP item 1b)
-                        made = (cf_products(slice_, purchase_sets=sets, n=n).items for slice_ in kept)
-                        blocks.append(_block([[(at[p], s) for p, s in items] for items in made], n))
-                    else:
-                        blocks.append(category_shares(np.stack([*map(sets.cf_sums, kept)]), sets, self.corpus, kind, n))
-            self._lists[rec, kind] = tuple(map(np.concatenate, zip(*blocks)))
+                    for k, made in blocks.items():
+                        if k == "product":  # a cf_products list each: tests patch this name (ROADMAP item 1b)
+                            lists = [cf_products(slice_, purchase_sets=sets, n=width[k]).items for slice_ in kept]
+                            made.append(_block(lists, self.tables[k], width[k]))
+                        else:
+                            sums = np.stack([*map(sets.cf_sums, kept)])
+                            made.append(category_shares(sums, sets, self.corpus, k, width[k]))
+                self._lists.update({(rec, k): tuple(map(np.concatenate, zip(*made))) for k, made in blocks.items()})
         return self._lists[rec, kind]
 
     def relevant(self, task) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +354,11 @@ class _Engine:
             self._relevant[task] = np.array(list(map(len, items)), int), np.sort(np.array(keys, np.int64))
         return self._relevant[task]
 
-    def hits(self, task, codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each code of a ``task`` column is relevant, padded False to ``width``, and the relevant set sizes."""
+    def hits(self, task, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each code of a ``task`` column is relevant, in a block of the column's width, and the relevant set
+        sizes."""
         rows = np.arange(len(codes))[:, None] * len(self.tables[TASK_LISTS[task]])
-        found = (codes >= 0) & np.isin(rows + codes, self.relevant(task)[1])
-        return np.pad(found, ((0, 0), (0, width - codes.shape[1]))), self.relevant(task)[0]
+        return (codes >= 0) & np.isin(rows + codes, self.relevant(task)[1]), self.relevant(task)[0]
 
     @cached_property
     def category_classes(self) -> tuple[np.ndarray, Callable[[int, int], float]]:
@@ -367,11 +375,13 @@ class _Engine:
         return codes, cache(lambda a, b: _category_set_distance(sets[a], sets[b]))
 
 
-def _block(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """An E × n block of int32 codes, -1 padding a short row, and one of float64 scores from each row's pairs."""
+def _block(rows: list, at: Mapping[str, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An E × n block of int32 codes, -1 padding a short row, and one of float64 scores from each row's (item, score)
+    pairs, an item's code being ``at[item]``."""
     filled = np.arange(n) < np.array([len(row) for row in rows], int)[:, None]
-    block = np.full(filled.shape, -1, np.int32), np.zeros(filled.shape)
-    block[0][filled], block[1][filled] = np.array([pair for row in rows for pair in row], float).reshape(-1, 2).T
+    block, size = (np.full(filled.shape, -1, np.int32), np.zeros(filled.shape)), int(np.count_nonzero(filled))
+    block[0][filled] = np.fromiter((at[item] for row in rows for item, _ in row), np.int32, size)
+    block[1][filled] = np.fromiter((score for row in rows for _, score in row), float, size)
     return block
 
 
@@ -383,12 +393,12 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     codes. Users go in sorted order. Returns the report row, the curve points,
     and diagnostic counts.
     """
-    name, n, width = _display_id(rec), engine.n, max(engine.n, len(CURVE_KS))
+    name, n = _display_id(rec), engine.n
     codes = engine.lists(rec, TASK_LISTS[task])[0]
     products = codes if task == "products" else engine.lists(rec, "product")[0]
     lengths = np.count_nonzero(products >= 0, axis=1)
     served_task = np.count_nonzero(codes[:, :1] >= 0)
-    ndcg_sum, recall, precision = _accuracy_sums(*engine.hits(task, codes, width), n, width)
+    ndcg_sum, recall, precision = _accuracy_sums(*engine.hits(task, codes), n, (*CURVE_KS, n))
     diversity = _diversity_rows(engine.category_classes[0][products], engine.category_classes[1])
     total = len(engine.eligible)
     accuracy_base = total if averaging == "harsh" else served_task
@@ -396,8 +406,8 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
     row = ReportRow(
         recommender=name,
         ndcg=acc(ndcg_sum),
-        precision=acc(precision[n - 1]),
-        recall=acc(recall[n - 1]),
+        precision=acc(precision[-1]),
+        recall=acc(recall[-1]),
         diversity=_ordered_sums(diversity) / total if total else 0.0,
         coverage=int(np.count_nonzero(lengths)) / total if total else 0.0,
     )
@@ -407,8 +417,8 @@ def _evaluate(engine: _Engine, rec: RecommenderDef, task: str, averaging: str):
 
 def _harsh_ndcg(engine: _Engine, rec_id: str, task: str) -> float:
     """Harsh mean nDCG@N of one recommender's task lists: _evaluate's row.ndcg alone."""
-    hits, sizes = engine.hits(task, engine.lists(rec_id, TASK_LISTS[task])[0], engine.n)
-    return _accuracy_sums(hits, sizes, engine.n, engine.n)[0] / len(sizes) if len(sizes) else 0.0
+    hits, sizes = engine.hits(task, engine.lists(rec_id, TASK_LISTS[task])[0])
+    return _accuracy_sums(hits, sizes, engine.n, [engine.n])[0] / len(sizes) if len(sizes) else 0.0
 
 
 def run_experiment(
@@ -435,7 +445,7 @@ def run_experiment(
     check_experiment(
         recommenders, task, knn_k=knn_k, list_length=list_length, averaging=averaging
     )
-    engine = _Engine(corpus, split, knn_k, list_length)
+    engine = _Engine(corpus, split, knn_k, list_length, dict.fromkeys([TASK_LISTS[task], "product"]))
     inner: Optional[_Engine] = None  # built for the first derived-weight hybrid
     report = EvalReport(task=task, list_length=list_length)
     meta = report.metadata
@@ -453,7 +463,7 @@ def run_experiment(
             if rec.weights is None:
                 if inner is None:
                     inner = _Engine(
-                        corpus, make_weighting_split(split, split.seed + 1), knn_k, list_length,
+                        corpus, make_weighting_split(split, split.seed + 1), knn_k, list_length, [TASK_LISTS[task]],
                         outer=engine,
                     )
                     meta["weighting_seed"] = str(inner.split.seed)

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -63,20 +63,13 @@ def most_popular(
     n: Optional[int] = DEFAULT_N,
     owned: frozenset[str] = frozenset(),
     target: str = "",
-    ranking: Optional[Sequence[tuple[str, float]]] = None,
 ) -> RecommendationList:
-    """Most purchased items overall; ``owned`` products are excluded for product lists.
-
-    ``ranking`` accepts every item as (item, float(count)) by descending count,
-    ties by ascending id, as ``most_popular(corpus, kind, None).items`` gives it,
-    so callers serving many users rank once; each list then walks it, skipping
-    owned products, until it has ``n`` items. Without one it is ranked here.
-    """
+    """Most purchased items overall, by descending count, ties by ascending id; ``owned`` products are excluded for
+    product lists."""
     check_length(n)
     if kind not in _EXTRACTOR_BY_KIND:
         raise ValueError(f"unknown list kind: {kind!r}")
-    if ranking is None:
-        ranking = top_n({item: float(c) for item, c in popularity_counts(corpus, kind).items()}, None)
+    ranking = top_n({item: float(c) for item, c in popularity_counts(corpus, kind).items()}, None)
     if kind == "product":
         ranking = (entry for entry in ranking if entry[0] not in owned)
     return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))

@@ -202,20 +202,24 @@ class EntitySets(dict):
         One gather, then one ``np.bincount`` keyed by row·P + position adds each row in slice order, bit-identical to
         cf_sums of the slice alone."""
         slices = slices[: max(1, CF_BLOCK_CELLS // max(len(self.ids), 1))]  # a row takes P cells at least
-        (indptr, indices), width, rows = self.csr, len(self.ids), len(slices)
+        width, rows = len(self.ids), len(slices)
         row_of = np.repeat(np.arange(rows), [len(s) for s in slices])  # each neighbour's row
         positions = np.concatenate([s.positions for s in slices])
         cells = np.bincount(row_of, self.degrees[positions], rows).cumsum() + width * np.arange(1, rows + 1)
         rows = max(1, np.count_nonzero(cells <= CF_BLOCK_CELLS))
         row_of = row_of[: np.searchsorted(row_of, rows)]
-        positions, lens = positions[: len(row_of)], self.degrees[positions[: len(row_of)]]
-        flat = indices[np.repeat(indptr[positions] + lens - lens.cumsum(), lens) + np.arange(lens.sum())]
+        flat, lens = self._held(positions[: len(row_of)])
         weights = np.concatenate([s.scores for s in slices[:rows]]).repeat(lens)
         block = np.bincount(flat + np.repeat(row_of * width, lens), weights, rows * width).reshape(rows, width)
         self._block, self._kept, self._rows = block, slices[:rows], dict(zip(map(id, slices), range(rows)))
-        for row, t in enumerate(bisect_left(self.users, slice_.target) for slice_ in self._kept):
-            block[row, indices[indptr[t] : indptr[t + 1]]] = 0.0
+        own, lens = self._held([bisect_left(self.users, slice_.target) for slice_ in self._kept])
+        block[np.repeat(np.arange(rows), lens), own] = 0.0  # each target's own entities, one scatter
         return rows
+
+    def _held(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """The entity positions that each of users[positions] holds, in set order, concatenated; and their counts."""
+        (indptr, indices), lens = self.csr, self.degrees[positions]
+        return indices[np.repeat(indptr[positions] + lens - lens.cumsum(), lens) + np.arange(lens.sum())], lens
 
     def codes(self, extract: Callable, products: Mapping) -> tuple[list[str], np.ndarray]:
         """The sorted ids of the categories that ``extract`` finds for the entities in ``products``, and each entity's

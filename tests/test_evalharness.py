@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -374,7 +375,7 @@ def _column(engine, rec, kind):
 
 
 def test_class_distance_equals_path_distance(small_corpus):
-    engine = _Engine(small_corpus, make_split(small_corpus, seed=3), DEFAULT_K, 10)
+    engine = _Engine(small_corpus, make_split(small_corpus, seed=3), DEFAULT_K, 10, ["product"])
     assert "category_classes" not in vars(engine)  # built on first use
     classes, distance = engine.category_classes
     table = list(engine.tables["product"])
@@ -399,8 +400,9 @@ def test_class_distance_equals_path_distance(small_corpus):
 def test_engine_lists_never_repeat_an_item(planted_corpus):
     # diversity over class codes and the running curve hit count both rely on this
     split = make_split(planted_corpus, PLANTED_SPLIT_SEED)
-    engine = _Engine(planted_corpus, split, DEFAULT_K, 10)
-    inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10, outer=engine)
+    engine = _Engine(planted_corpus, split, DEFAULT_K, 10, TASK_LISTS.values())
+    inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10, TASK_LISTS.values(),
+                    outer=engine)
     (derived,) = [r for r in ALL_RECOMMENDERS if isinstance(r, HybridDef) and r.weights is None]
     (explicit,) = [r for r in ALL_RECOMMENDERS if isinstance(r, HybridDef) and r.weights is not None]
     for task in TASKS:
@@ -422,12 +424,12 @@ def test_engine_lists_never_repeat_an_item(planted_corpus):
 
 def test_perfect_recommender_scores_one(medium_corpus):
     split = make_split(medium_corpus, seed=4)
-    table = _Engine(medium_corpus, split, 10, 10).tables["product"]
+    table = _Engine(medium_corpus, split, 10, 10, ["product"]).tables["product"]
     # a list can only name training products: keep the users whose withheld products all are
     listable = sorted(user for user in split.eligible if split.test[user] <= table.keys())
     assert 10 <= len(listable) < len(split.eligible)
     split = Split(split.training, {user: split.test[user] for user in listable}, frozenset(listable), split.seed)
-    engine = _Engine(medium_corpus, split, 10, 10)
+    engine = _Engine(medium_corpus, split, 10, 10, ["product"])
     # the engine serves "perfect" from its column cache: each user's withheld products, in eligible order
     codes = np.array([sorted(table[p] for p in split.test[user]) for user in engine.eligible], np.int32)
     engine._lists["perfect", "product"] = codes, np.ones(codes.shape)
@@ -470,35 +472,38 @@ def test_one_cf_column_is_one_block_when_the_cell_bound_allows(monkeypatch, medi
 
 
 def test_engine_rows_equal_the_public_one_row_functions(medium_corpus):
-    """Every engine row, read through its kind's item table, equals the list that the public function makes alone."""
+    """Every engine row, read through its kind's item table, equals the list that the public function makes alone,
+    in every kind that the engine is built with: a run's task kind and products, or all three kinds at once."""
     split = make_split(medium_corpus, seed=4)
-    engine = _Engine(medium_corpus, split, DEFAULT_K, 10)
-    inner = _Engine(medium_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10, outer=engine)
     features = ("mp.purchases.jaccard", "sn.graph.aa")
     weights = {"most_popular": 0.25, features[0]: 0.0, features[1]: 1.0}
     explicit = HybridDef("explicit", ("most_popular", *features), weights)
     derived = HybridDef("derived", ("most_popular", *features))
-    sets, n = engine.purchase_sets, engine.n
-    for task, kind in TASK_LISTS.items():
-        ranking = most_popular(engine.training, kind, None).items
-
-        def one_row(rec, user):
-            if rec == "most_popular":
-                return most_popular(engine.training, kind, n, owned=sets.get(user, frozenset()), ranking=ranking)
-            if kind == "product":
-                return cf_products(engine.slice_for(rec, user), sets, n)
-            return cf_categories(engine.slice_for(rec, user), medium_corpus, sets, kind, n)
-
+    runs = [(task, dict.fromkeys([kind, "product"])) for task, kind in TASK_LISTS.items()]
+    for task, kinds in [*runs, ("low_categories", TASK_LISTS.values())]:
+        engine = _Engine(medium_corpus, split, DEFAULT_K, 10, kinds)
+        inner = _Engine(medium_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10, [TASK_LISTS[task]],
+                        outer=engine)
+        sets, n = engine.purchase_sets, engine.n
         weighted = replace(derived, weights={c: _harsh_ndcg(inner, c, task) for c in derived.components})
         assert sum(w > 0 for w in weighted.weights.values()) >= 2
-        for rec in ("most_popular", *features, explicit, weighted):
-            for user, row in zip(engine.eligible, _column(engine, rec, kind), strict=True):
-                if isinstance(rec, HybridDef):
-                    lists = {c: normalize_scores(one_row(c, user)) for c in rec.components}
-                    expected = weighted_sum_hybrid(lists, rec.weights, n)
-                else:
-                    expected = one_row(rec, user)
-                assert row == expected.items, (rec, kind, user)
+        for kind in engine.kinds:
+
+            def one_row(rec, user):
+                if rec == "most_popular":
+                    return most_popular(engine.training, kind, n, owned=sets.get(user, frozenset()))
+                if kind == "product":
+                    return cf_products(engine.slice_for(rec, user), sets, n)
+                return cf_categories(engine.slice_for(rec, user), medium_corpus, sets, kind, n)
+
+            for rec in ("most_popular", *features, explicit, weighted):
+                for user, row in zip(engine.eligible, _column(engine, rec, kind), strict=True):
+                    if isinstance(rec, HybridDef):
+                        lists = {c: normalize_scores(one_row(c, user)) for c in rec.components}
+                        expected = weighted_sum_hybrid(lists, rec.weights, n)
+                    else:
+                        expected = one_row(rec, user)
+                    assert row == expected.items, (rec, kinds, kind, user)
 
 
 def test_most_popular_full_coverage(medium_corpus):
@@ -660,7 +665,7 @@ def test_curve_points_equal_mean_oracle_recall_and_precision(task, list_length):
     assert "bare" in split.eligible and len(split.eligible) == 8
     recommenders = ["most_popular", "mp.purchases.jaccard"]
     report = run_experiment(corpus, split, recommenders, task, knn_k=3, list_length=list_length)
-    engine = _Engine(corpus, split, 3, list_length)
+    engine = _Engine(corpus, split, 3, list_length, [TASK_LISTS[task]])
     lengths = set()
     for rec_id in recommenders:
         recall_sums, precision_sums = [0.0] * 10, [0.0] * 10
@@ -683,11 +688,57 @@ def test_curve_points_equal_mean_oracle_recall_and_precision(task, list_length):
         assert max(lengths) > 10
 
 
+def test_hit_blocks_are_as_wide_as_the_lists_not_the_requested_length():
+    """Past a list's end its hit count stays, so a run at list_length 10**6 holds no block that wide, and its
+    precision, recall and nDCG at a cut-off past every list still equal the public one-list functions'."""
+    corpus = _curve_corpus()
+    split = make_split(corpus, seed=2)
+    recommenders = ["most_popular", "mp.purchases.jaccard", HybridDef("mix", ("most_popular", "mp.purchases.jaccard"))]
+    tracemalloc.start()
+    try:
+        run_experiment(corpus, split, recommenders, "products", knn_k=3, list_length=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # a bool hit row of 10**6 positions for each of the 8 users alone would take 8 MB
+    for task in TASKS:
+        report = run_experiment(corpus, split, recommenders[:2], task, knn_k=3, list_length=1000)
+        engine = _Engine(corpus, split, 3, 1000, [TASK_LISTS[task]])
+        for row, rec in zip(report.rows, recommenders[:2], strict=True):
+            sums = [0.0, 0.0, 0.0]
+            for user, found in zip(engine.eligible, _column(engine, rec, TASK_LISTS[task]), strict=True):
+                ids, relevant = [item for item, _ in found], _oracle_relevant(corpus, task, split.test[user])
+                assert len(ids) < 1000
+                for i, metric in enumerate((ndcg_at_k, precision_at_k, recall_at_k)):
+                    sums[i] += metric(ids, relevant, 1000)
+            assert [row.ndcg, row.precision, row.recall] == [total / len(engine.eligible) for total in sums]
+
+
+def test_a_cf_column_walks_its_slices_once_for_every_list_kind_the_run_reads(monkeypatch, medium_corpus):
+    """On a category task the outer engine keeps each feature's E rows of CF sums once for its category and product
+    lists, not once per kind, and the weighting engine, which reads the category lists alone, keeps its E rows."""
+    split = make_split(medium_corpus, seed=4)
+    inner_split = make_weighting_split(split, split.seed + 1)
+    kept, keep = Counter(), EntitySets.keep_cf_sums
+    outer_sets = entity_sets(with_purchases(medium_corpus, split.training), "purchases")
+
+    def counted(self, slices):
+        rows = keep(self, slices)
+        kept["outer" if self == outer_sets else "inner"] += rows
+        return rows
+
+    monkeypatch.setattr(EntitySets, "keep_cf_sums", counted)
+    features = ("mp.purchases.jaccard", "sn.graph.aa")
+    run_experiment(medium_corpus, split, [*features, HybridDef("mix", features)], "low_categories")
+    assert kept == {"outer": 2 * len(split.eligible), "inner": 2 * len(inner_split.eligible)}  # two features each
+
+
 def test_ndcg_only_weight_quality_equals_full_evaluation(planted_corpus):
     split = make_split(planted_corpus, PLANTED_SPLIT_SEED)
     (derived,) = [r for r in ALL_RECOMMENDERS if isinstance(r, HybridDef) and r.weights is None]
     for task in TASKS:
-        inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10)
+        inner = _Engine(planted_corpus, make_weighting_split(split, split.seed + 1), DEFAULT_K, 10,
+                        dict.fromkeys([TASK_LISTS[task], "product"]))
         for component in derived.components:
             expected = _evaluate(inner, component, task, "harsh")[0].ndcg
             assert _harsh_ndcg(inner, component, task) == expected
@@ -695,9 +746,9 @@ def test_ndcg_only_weight_quality_equals_full_evaluation(planted_corpus):
 
 def test_weighting_engine_shares_split_independent_slices(medium_corpus):
     split = make_split(medium_corpus, seed=4)
-    outer = _Engine(medium_corpus, split, DEFAULT_K, 10)
+    outer = _Engine(medium_corpus, split, DEFAULT_K, 10, [])  # reads slices only
     inner_split = make_weighting_split(split, split.seed + 1)
-    inner = _Engine(medium_corpus, inner_split, DEFAULT_K, 10, outer=outer)
+    inner = _Engine(medium_corpus, inner_split, DEFAULT_K, 10, [], outer=outer)
     fresh = SimilarityContext(with_purchases(medium_corpus, inner_split.training))
     users = sorted(medium_corpus.users)
     for feature in ALL_FEATURE_IDS:
@@ -752,7 +803,7 @@ def test_all_reported_metrics_within_bounds(medium_corpus):
 
 def test_product_lists_never_contain_training_purchases(medium_corpus):
     split = make_split(medium_corpus, seed=2)
-    engine = _Engine(medium_corpus, split, 10, 10)
+    engine = _Engine(medium_corpus, split, 10, 10, ["product"])
     weights = {"mp.purchases.jaccard": 0.5, "sn.graph.cn": 0.5}
     hybrid = HybridDef("mix", ("mp.purchases.jaccard", "sn.graph.cn"), weights=weights)
     for rec in ("most_popular", "mp.purchases.jaccard", "sn.graph.cn", hybrid):

@@ -78,12 +78,10 @@ def test_most_popular_category_counts_match_recount(small_corpus):
         assert list(top.items) == oracles.ranked({c: float(n) for c, n in counts.items()}, 5)
 
 
-def test_most_popular_rejects_unknown_kind_with_or_without_ranking():
+def test_most_popular_rejects_unknown_kind():
     corpus = make_corpus(products=[("p1", "s", ())], purchases=[("a", "p1")])
     with pytest.raises(ValueError, match="unknown list kind: 'bogus'"):
         most_popular(corpus, "bogus", 3)
-    with pytest.raises(ValueError, match="unknown list kind: 'bogus'"):
-        most_popular(corpus, "bogus", 3, ranking=[("p1", 2.0)])
 
 
 def test_most_popular_tie_break():
@@ -110,7 +108,7 @@ POPULAR_KINDS = {"product": None, "top_category": 0, "low_category": -1}
     kind=st.sampled_from(sorted(POPULAR_KINDS)),
     length=st.sampled_from(["one", "pool", "past", "all"]),
 )
-def test_most_popular_precomputed_ranking_matches_ranking_per_call(purchases, owned, kind, length):
+def test_most_popular_matches_oracle_ranking(purchases, owned, kind, length):
     corpus = make_corpus(
         products=[(pid, "s", path) for pid, path in POPULAR_PATHS.items()], purchases=purchases
     )
@@ -127,10 +125,7 @@ def test_most_popular_precomputed_ranking_matches_ranking_per_call(purchases, ow
 
     ranking = most_popular(corpus, kind, None).items
     assert list(ranking) == oracles.ranked({item: float(c) for item, c in counts.items()}, None)
-    precomputed = most_popular(corpus, kind, n, owned=owned, target="t", ranking=ranking)
-    per_call = most_popular(corpus, kind, n, owned=owned, target="t")
-    assert precomputed == per_call
-    assert list(per_call.items) == oracles.ranked(pool, n)
+    assert list(most_popular(corpus, kind, n, owned=owned, target="t").items) == oracles.ranked(pool, n)
 
 
 def test_list_items_maps_products_to_the_items_of_each_kind():
@@ -195,8 +190,6 @@ def test_negative_list_length_is_rejected():
     )
     with pytest.raises(ValueError, match="n must be >= 0"):
         most_popular(corpus, "product", -1)
-    with pytest.raises(ValueError, match="n must be >= 0"):
-        most_popular(corpus, "top_category", -1, ranking=most_popular(corpus, "top_category", None).items)
     with pytest.raises(ValueError, match="n must be >= 0"):
         cf_categories(slice_, corpus, owned, "top_category", -1)
     with pytest.raises(ValueError, match="n must be >= 0"):
