@@ -313,8 +313,8 @@ class _Engine:
 
         Kept per (recommender, kind), but for a hybrid's, which must carry its weights: weighted_rows combines its
         positive-weight components' normalized kept blocks when it is read, so it cannot shadow a component's name.
-        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served, and each kept block
-        writes the rows of every kind in ``kinds``, so a CF column is there for those kinds only.
+        A CF column offers its remaining slices to ``keep_cf_sums`` until every slice is served, and each block it
+        returns writes the rows of every kind in ``kinds``, so a CF column is there for those kinds only.
         """
         if isinstance(rec, HybridDef):
             parts = [(*self.lists(c, kind), rec.weights[c]) for c in sorted(rec.components) if rec.weights[c] > 0]
@@ -329,17 +329,16 @@ class _Engine:
                 rows = rows if kind == "product" else rows * len(self.eligible)
                 self._lists[rec, kind] = _block(rows, self.tables[kind], width[kind])
             else:
-                slices, done = [self.slice_for(rec, user) for user in self.eligible], 0
+                slices = [self.slice_for(rec, user) for user in self.eligible]
                 blocks = {k: [_block([], {}, width[k])] for k in self.kinds}  # code and score blocks in eligible order
-                while done < len(slices):
-                    kept = slices[done:][: sets.keep_cf_sums(slices[done:])]
-                    done += len(kept)
+                while slices:
+                    sums = sets.keep_cf_sums(slices)
+                    kept, slices = slices[: len(sums)], slices[len(sums) :]
                     for k, made in blocks.items():
                         if k == "product":  # a cf_products list each: tests patch this name (ROADMAP item 1b)
                             lists = [cf_products(slice_, purchase_sets=sets, n=width[k]).items for slice_ in kept]
                             made.append(_block(lists, self.tables[k], width[k]))
                         else:
-                            sums = np.stack([*map(sets.cf_sums, kept)])
                             made.append(category_shares(sums, sets, self.corpus, k, width[k]))
                 self._lists.update({(rec, k): tuple(map(np.concatenate, zip(*made))) for k, made in blocks.items()})
         return self._lists[rec, kind]

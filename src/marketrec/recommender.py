@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .corpus import Corpus, low_level_category, top_level_category
-from .simfeatures import EntitySets, SimilarityMatrixSlice, best_first, check_length, top_n
+from .simfeatures import EntitySets, SimilarityMatrixSlice, best_first, check_length
 
 TASK_LISTS = {"products": "product", "low_categories": "low_category", "top_categories": "top_category"}
 _EXTRACTOR_BY_KIND = {"product": None, "low_category": low_level_category, "top_category": top_level_category}
@@ -69,9 +69,8 @@ def most_popular(
     check_length(n)
     if kind not in _EXTRACTOR_BY_KIND:
         raise ValueError(f"unknown list kind: {kind!r}")
-    ranking = top_n({item: float(c) for item, c in popularity_counts(corpus, kind).items()}, None)
-    if kind == "product":
-        ranking = (entry for entry in ranking if entry[0] not in owned)
+    counts = sorted(popularity_counts(corpus, kind).items(), key=lambda entry: (-entry[1], entry[0]))
+    ranking = ((item, float(count)) for item, count in counts if kind != "product" or item not in owned)
     return RecommendationList(target=target, kind=kind, items=tuple(islice(ranking, n)))
 
 

@@ -12,12 +12,11 @@ interaction graph, neighbourhood overlap). See ALL_FEATURE_IDS.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 DEFAULT_K = 40
 CF_BLOCK_CELLS = 1 << 15  # what a kept CF block may hold: its sums and gathered entities, 256 KB of sums at most
-_Key = TypeVar("_Key", str, int)
 
 _CONTENT_SUFFIXES = ("common", "total", "jaccard")
 # the directed feature only exists on the social graph: co-attendance has no direction
@@ -125,17 +123,6 @@ def check_length(n: Optional[int]) -> None:
         raise ValueError(f"n must be >= 0 or None, got {n}")
 
 
-def top_n(scores: Mapping[_Key, float], n: Optional[int]) -> list[tuple[_Key, float]]:
-    """The ``n`` best (key, score) pairs by descending score, ties by ascending key; all if None.
-
-    Only entries at or above the n-th best score (a sort of bare floats) are sorted as tuples.
-    """
-    check_length(n)
-    cut = sorted(scores.values(), reverse=True)[n - 1] if n and n <= len(scores) else -math.inf
-    entries = sorted([(-s, key) for key, s in scores.items() if s >= cut])
-    return [(key, -s) for s, key in entries[:n]]
-
-
 def best_first(positions: np.ndarray, scores: np.ndarray, n: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """The ``n`` best ascending ``positions`` by descending score, ties by position; all if None."""
     check_length(n)
@@ -153,7 +140,8 @@ class EntitySets(dict):
     The sets are the one home of their index: ``ids``, the sorted entity ids, so entity position i names ids[i];
     ``csr``, CSR ``indptr`` and int32 ``indices`` of users[i]'s entity positions in set order; and ``degrees``,
     each user's entity count. Content k-NN reads ``degrees`` and ``shared_counts`` as it reads a graph's, and CF
-    reads ``cf_sums`` (rows of a block that ``keep_cf_sums`` keeps), ``codes`` and ``ids``.
+    reads ``keep_cf_sums``' blocks, ``cf_sums``, ``codes`` and ``ids``. Past ``__init__`` only ``keep_cf_sums``
+    assigns an attribute: it publishes its finished block whole, in one assignment, for ``cf_sums`` to find.
     """
 
     def __init__(self, sets: Mapping[str, frozenset[str]], users: Sequence[str]):
@@ -166,7 +154,7 @@ class EntitySets(dict):
         self.csr = indptr, np.fromiter(map(at, chain.from_iterable(held)), np.int32, indptr[-1])
         self.degrees = np.diff(indptr)
         self._codes: dict = {}  # extractor -> (product table, sorted category ids, each entity's code)
-        self._rows: dict[int, int] = {}  # id of a slice in _kept, which keeps it unique -> its row of the CF _block
+        self._kept: tuple = (None, {})  # the latest CF block, and id(slice) -> (that slice, holding its id, its row)
 
     @cached_property
     def holders(self) -> dict[str, np.ndarray]:
@@ -183,24 +171,22 @@ class EntitySets(dict):
         return nonzero_except(np.bincount(np.concatenate(held) if held else held, minlength=len(self.users)), t)
 
     def cf_sums(self, slice_: SimilarityMatrixSlice) -> np.ndarray:
-        """Each entity position's CF sum, the target's entities at 0: its row of the kept block, or else kept alone."""
-        if id(slice_) in self._rows:
-            return self._block[self._rows[id(slice_)]]
-        indptr, indices = self.csr
-        starts, ends = indptr[slice_.positions], indptr[slice_.positions + 1]
-        lens = ends - starts
-        flat = indices[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
+        """Each entity position's CF sum, the target's entities at 0: the slice's row of the latest block that
+        ``keep_cf_sums`` published, read in one step, or else gathered alone and not kept."""
+        block, rows = self._kept
+        if id(slice_) in rows:
+            return block[rows[id(slice_)][1]]
+        flat, lens = self._held(slice_.positions)
         sums = np.bincount(flat, slice_.scores.repeat(lens), len(self.ids))
-        t = bisect_left(self.users, slice_.target)
+        (indptr, indices), t = self.csr, bisect_left(self.users, slice_.target)
         sums[indices[indptr[t] : indptr[t + 1]]] = 0.0
-        self._block, self._kept, self._rows = (sums,), (slice_,), {id(slice_): 0}  # a block of one row
         return sums
 
-    def keep_cf_sums(self, slices: Sequence[SimilarityMatrixSlice]) -> int:
-        """Keep the CF sums of the longest prefix of ``slices`` within CF_BLOCK_CELLS (P cells a row, one per entity it
-        gathers), one slice at least, as one block; return its length. It reads CF_BLOCK_CELLS // P slices at most.
-        One gather, then one ``np.bincount`` keyed by row·P + position adds each row in slice order, bit-identical to
-        cf_sums of the slice alone."""
+    def keep_cf_sums(self, slices: Sequence[SimilarityMatrixSlice]) -> np.ndarray:
+        """The CF sums of the longest prefix of ``slices`` within CF_BLOCK_CELLS (P cells a row, one per entity it
+        gathers), one slice at least, as a block of one row per slice served. It reads CF_BLOCK_CELLS // P slices at
+        most. One gather, then one ``np.bincount`` keyed by row·P + position adds each row in slice order,
+        bit-identical to cf_sums of the slice alone. The finished block then replaces the one ``cf_sums`` reads."""
         slices = slices[: max(1, CF_BLOCK_CELLS // max(len(self.ids), 1))]  # a row takes P cells at least
         width, rows = len(self.ids), len(slices)
         row_of = np.repeat(np.arange(rows), [len(s) for s in slices])  # each neighbour's row
@@ -211,10 +197,10 @@ class EntitySets(dict):
         flat, lens = self._held(positions[: len(row_of)])
         weights = np.concatenate([s.scores for s in slices[:rows]]).repeat(lens)
         block = np.bincount(flat + np.repeat(row_of * width, lens), weights, rows * width).reshape(rows, width)
-        self._block, self._kept, self._rows = block, slices[:rows], dict(zip(map(id, slices), range(rows)))
-        own, lens = self._held([bisect_left(self.users, slice_.target) for slice_ in self._kept])
+        own, lens = self._held([bisect_left(self.users, slice_.target) for slice_ in slices[:rows]])
         block[np.repeat(np.arange(rows), lens), own] = 0.0  # each target's own entities, one scatter
-        return rows
+        self._kept = block, {id(slice_): (slice_, row) for row, slice_ in enumerate(slices[:rows])}
+        return block
 
     def _held(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """The entity positions that each of users[positions] holds, in set order, concatenated; and their counts."""
@@ -224,19 +210,24 @@ class EntitySets(dict):
     def codes(self, extract: Callable, products: Mapping) -> tuple[list[str], np.ndarray]:
         """The sorted ids of the categories that ``extract`` finds for the entities in ``products``, and each entity's
         code, len(categories) for none; kept per extractor while ``products`` is the same table."""
-        if self._codes.get(extract, (None,))[0] is not products:
+        table = self._codes.get(extract, (None,))
+        if table[0] is not products:
             found = list(map(extract, map(products.__getitem__, self.ids)))
             categories = sorted(set(found) - {None})
             at = {category: i for i, category in enumerate(categories)}
-            self._codes[extract] = (products, categories, np.array([at.get(c, len(at)) for c in found], int))
-        return self._codes[extract][1:]
+            table = self._codes[extract] = (products, categories, np.array([at.get(c, len(at)) for c in found], int))
+        return table[1:]
 
 
 class SimilarityContext:
     """Lazily built indexes over one corpus for fast feature evaluation.
 
-    Everything is derived from an immutable corpus, so a context is safe for
-    concurrent reads once built. Graphs and indexes are built on first use.
+    Everything is derived from an immutable corpus, and graphs and indexes are
+    built on first use. Once they are built, a context is safe for concurrent
+    reads: a read publishes state only whole, in one assignment, once it is
+    final. An entity set's ``keep_cf_sums`` replaces the (block, rows) pair
+    that ``cf_sums`` reads after it has zeroed every target's own entities,
+    and ``codes`` stores each table it builds whole.
     Content indexes, graph rows and slices hold positions in ``users``, the
     corpus users sorted by id: each graph's vertices are the corpus users, so
     ``graph`` raises ValueError for an edge or event that links anyone else.

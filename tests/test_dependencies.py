@@ -1,6 +1,6 @@
 """The package depends on the standard library and numpy only; only graphs.py reads packed graph rows and light
-neighbour lists, and only simfeatures.py reads the entity index of an EntitySets. No package line is wider than
-MAX_LINE, so its line count cannot fall by packing more onto a line."""
+neighbour lists, and only simfeatures.py reads the entity index of an EntitySets, which only __init__ and keep_cf_sums
+assign. No package line is wider than MAX_LINE, so its line count cannot fall by packing more onto a line."""
 
 import ast
 import sys
@@ -117,3 +117,25 @@ def test_only_simfeatures_reads_the_entity_index():
             found += [f"{path.name}:{node.lineno} uses {name}" for name in sorted(names)]
     assert found == []
     assert {"csr", "holders"} <= internal and ENTITY_SETS_API <= attributes  # the check knows the index it guards
+
+
+
+# past __init__, only keep_cf_sums changes an EntitySets' attributes: it publishes a finished block whole, at once
+ENTITY_SETS_WRITERS = {"__init__", "keep_cf_sums"}
+
+
+def test_only_init_and_keep_cf_sums_assign_entity_set_attributes():
+    tree = ast.parse((PACKAGE / "simfeatures.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "EntitySets")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assigned = {name: [] for name in methods}
+    for name, method in methods.items():
+        for node in ast.walk(method):
+            stored = isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+            if stored and ast.unparse(node.value) == "self":
+                assigned[name].append(f"{name}:{node.lineno} assigns .{node.attr}")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in {"setattr", "delattr", "vars"}:
+                assigned[name].append(f"{name}:{node.lineno} calls {ast.unparse(node.func)}")
+    assert [line for name in sorted(methods.keys() - ENTITY_SETS_WRITERS) for line in assigned[name]] == []
+    assert len(assigned["keep_cf_sums"]) == 1  # one assignment replaces the memo whole
+    assert ENTITY_SETS_WRITERS <= methods.keys()  # the check knows the methods it exempts

@@ -1,6 +1,9 @@
 import math
 import random
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from marketrec.recommender import (
     weighted_rows,
     weighted_sum_hybrid,
 )
-from marketrec.simfeatures import EntitySets, SimilarityContext, SimilarityMatrixSlice, top_n
+from marketrec.simfeatures import EntitySets, SimilarityContext, SimilarityMatrixSlice
 
 from helpers import make_corpus
 import oracles
@@ -178,25 +181,25 @@ def test_cf_rejects_purchase_sets_not_from_a_context():
 
 def test_negative_list_length_is_rejected():
     # a negative n would slice from the end: -1 kept one entry of three
-    with pytest.raises(ValueError, match="n must be >= 0"):
-        top_n({"a": 3.0, "b": 2.0, "c": 1.0}, -1)
-    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
-    owned = EntitySets({"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}, USERS)
-    with pytest.raises(ValueError, match="n must be >= 0"):
-        cf_products(slice_, owned, -1)
     corpus = make_corpus(
         products=[("p1", "s", ("A",)), ("p2", "s", ("B",)), ("p3", "s", ("C",))],
         purchases=[("v1", "p1"), ("v1", "p2"), ("v2", "p3")],
     )
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        most_popular(corpus, "top_category", -1)
+    slice_ = SimilarityMatrixSlice.from_pairs("t", (("v1", 0.5), ("v2", 0.3)), USERS)
+    owned = EntitySets({"v1": frozenset({"p1", "p2"}), "v2": frozenset({"p3"}), "t": frozenset()}, USERS)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cf_products(slice_, owned, -1)
     with pytest.raises(ValueError, match="n must be >= 0"):
         most_popular(corpus, "product", -1)
     with pytest.raises(ValueError, match="n must be >= 0"):
         cf_categories(slice_, corpus, owned, "top_category", -1)
     with pytest.raises(ValueError, match="n must be >= 0"):
         weighted_sum_hybrid({"a": rec([("p1", 1.0), ("p2", 0.5)])}, {"a": 1.0}, -1)
-    assert top_n({"a": 3.0}, 0) == [] and cf_products(slice_, owned, 0).items == ()
+    assert most_popular(corpus, "top_category", 0).items == () and cf_products(slice_, owned, 0).items == ()
     assert most_popular(corpus, "product", 0).items == ()
-    assert len(top_n({"a": 3.0, "b": 2.0, "c": 1.0}, None)) == 3
+    assert len(most_popular(corpus, "top_category", None)) == 3
 
 
 def test_cf_products_matches_exhaustive_oracle(small_corpus):
@@ -443,7 +446,7 @@ def test_cf_lists_read_from_a_kept_block_match_lists_made_alone(monkeypatch, sma
     for feature_id in ("mp.purchases.jaccard", "sn.graph.aa"):
         slices = [context.k_nearest(feature_id, target, 8) for target in context.users]
         while slices:
-            blocks.append(purchase_sets.keep_cf_sums(slices))
+            blocks.append(len(purchase_sets.keep_cf_sums(slices)))
             for slice_ in slices[: blocks[-1]]:
                 alone = EntitySets(purchase_sets, context.users)  # no block kept: each call gathers its own
                 assert cf_products(slice_, purchase_sets, 10) == cf_products(slice_, alone, 10)
@@ -453,6 +456,56 @@ def test_cf_lists_read_from_a_kept_block_match_lists_made_alone(monkeypatch, sma
                 assert cf_candidate_scores(slice_, purchase_sets) == cf_candidate_scores(slice_, alone)
             slices = slices[blocks[-1] :]
     assert max(blocks) > 1 and len(blocks) > 2
+
+
+
+def test_a_built_context_serves_concurrent_requests_as_a_serial_run(monkeypatch, small_corpus):
+    """Three threads serve one request set against one built context, k_nearest and then the CF product and category
+    lists, while a fourth keeps blocks of CF sums over the same purchase sets and slices: every list and every kept
+    row equals the serial run's. Four threads at most."""
+    monkeypatch.setattr(simfeatures, "CF_BLOCK_CELLS", 400)  # several blocks of several rows
+    context = SimilarityContext(small_corpus)
+    purchase_sets = context.entity_sets("purchases")
+    requests = [(feature, target) for feature in ("mp.purchases.jaccard", "sn.graph.aa") for target in context.users]
+    slices = {request: context.k_nearest(*request, 8) for request in requests}  # builds every index the requests read
+    alone = EntitySets(purchase_sets, context.users)  # keeps no block, and no thread reads it
+    expected_sums = {id(slice_): alone.cf_sums(slice_).tolist() for slice_ in slices.values()}
+
+    def serve(request):
+        slice_ = slices[request]
+        made = [cf_categories(slice_, small_corpus, purchase_sets, k, 10) for k in ("top_category", "low_category")]
+        return context.k_nearest(*request, 8), cf_products(slice_, purchase_sets, 10), *made
+
+    def serve_thrice(part):
+        return [[*map(serve, part)] for _ in range(3)]
+
+    serial = [*map(serve, requests)]
+    served = threading.Event()
+
+    def keep_blocks():
+        blocks = 0
+        while not served.is_set():
+            rest = [*slices.values()]
+            while rest:
+                block = purchase_sets.keep_cf_sums(rest)
+                assert [expected_sums[id(slice_)] for slice_ in rest[: len(block)]] == block.tolist()
+                rest, blocks = rest[len(block) :], blocks + 1
+        return blocks
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter between threads often, so that their steps interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            keeper = pool.submit(keep_blocks)
+            try:
+                results = [part.result() for part in [pool.submit(serve_thrice, requests[i::3]) for i in range(3)]]
+            finally:
+                served.set()  # the keeper stops even if a server raised
+            assert keeper.result() > 1
+    finally:
+        sys.setswitchinterval(interval)
+    for i, rounds in enumerate(results):
+        assert rounds == [serial[i::3]] * 3
 
 
 def test_cf_category_scores_sum_to_one(small_corpus):

@@ -21,7 +21,6 @@ from marketrec.simfeatures import (
     UnknownFeatureError,
     UnknownUserError,
     parse_feature_id,
-    top_n,
 )
 from marketrec.synth import SyntheticSpec, generate
 
@@ -474,7 +473,7 @@ def test_cf_block_rows_equal_per_slice_sums_and_the_oracle(monkeypatch, bound):
     blocks = []
     while len(blocks) < len(slices):
         start = len(blocks)
-        kept = sets.keep_cf_sums(slices[start:])
+        kept = len(sets.keep_cf_sums(slices[start:]))
         # the longest prefix within the bound, one slice at least: the kept block never exceeds it
         assert kept == 1 or sum(cells[start : start + kept]) <= bound
         assert start + kept == len(slices) or sum(cells[start : start + kept + 1]) > bound
@@ -519,7 +518,7 @@ def test_keep_cf_sums_reads_only_the_slices_a_block_can_hold(monkeypatch, bound)
         for i, target in enumerate(CF_USERS * 2)
     ]
     offered = ReadRecorder(slices)
-    kept = sets.keep_cf_sums(offered)
+    kept = len(sets.keep_cf_sums(offered))
     readable = max(1, bound // len(sets.ids))
     assert offered.read == set(range(min(readable, len(slices))))
     cells = np.cumsum([len(sets.ids) + sum(len(owned[user]) for user in s.users()) for s in slices])
@@ -710,21 +709,3 @@ def test_k_nearest_equals_exact_pairwise_ranking(planted_context, feature_id):
         expected = oracle_knn(users, target, len(users), scorer)
         for k in sorted({1, len(expected) // 2 + 1, DEFAULT_K, len(expected) + 1}):
             assert planted_context.k_nearest(feature_id, target, k).scored == expected[:k]
-
-
-# --- top-n selection -----------------------------------------------------
-
-# a few values, so most dicts tie at the cut; 0.0 occurs in hybrid lists
-_tied_scores = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
-
-
-@given(
-    st.one_of(
-        st.dictionaries(st.text("abc", max_size=3), _tied_scores, max_size=30),
-        st.dictionaries(st.integers(0, 40), _tied_scores, max_size=30),
-    ),
-    st.data(),
-)
-def test_top_n_equals_full_sort(scores, data):
-    n = data.draw(st.one_of(st.none(), st.integers(1, len(scores) + 1)), label="n")
-    assert top_n(scores, n) == sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
