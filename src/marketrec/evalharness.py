@@ -275,11 +275,10 @@ class _Engine:
     """Caches slices, list columns and relevant keys over one split's training data.
 
     A column is E × min(n, T) int32 codes (-1 pads) and float64 scores over the kind's T-item table in ``tables``;
-    ``kinds`` are the list kinds that the run reads, and one walk over a CF column's slices writes all of them.
-    An engine over a split of ``outer``'s training data takes from ``outer``
-    every slice whose feature reads no entity kind of ``PURCHASE_KINDS``:
-    graph features and group, interest and location content features read
-    only rows that no split changes.
+    ``kinds`` are the list kinds that the run reads, the only ones with a table, and one walk over a CF column's
+    slices writes all of them. An engine over a split of ``outer``'s training data takes from ``outer`` every slice
+    whose feature reads no entity kind of ``PURCHASE_KINDS``: graph features and group, interest and location
+    content features read only rows that no split changes.
     """
 
     def __init__(self, corpus, split, knn_k, list_length, kinds: Sequence[str], outer: Optional[_Engine] = None):
@@ -296,7 +295,7 @@ class _Engine:
         self._slices: dict = {}
         self._lists: dict = {}  # (recommender id, list kind) -> its column's code and score blocks
         # list kind -> item id -> code, its place in id order among the items that the training products stand for
-        items = {kind: sorted(set(list_items(corpus, kind, self.purchase_sets.ids))) for kind in TASK_LISTS.values()}
+        items = {kind: sorted(set(list_items(corpus, kind, self.purchase_sets.ids))) for kind in self.kinds}
         self.tables = {kind: {item: code for code, item in enumerate(found)} for kind, found in items.items()}
         self._relevant: dict = {}
 

@@ -26,13 +26,6 @@ def row_counts(words: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", np.bitwise_count(words), dtype=np.int64)
 
 
-def nonzero_except(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending positions of the nonzero ``values`` but position ``i``, and those values; ``values`` is changed."""
-    values[i] = 0
-    found = np.flatnonzero(values)
-    return found, values[found]
-
-
 class InteractionGraph:
     """Undirected user graph held as one packed neighbour row per user, and a neighbour list per light user.
 
@@ -99,18 +92,16 @@ class InteractionGraph:
             return near, self.list_positions[np.repeat(ends - lens.cumsum(), lens) + np.arange(lens.sum())]
         return None
 
-    def shared_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the users two hops from ``users[i]``, ascending, and their shared neighbour counts.
+    def shared_counts(self, i: int) -> np.ndarray:
+        """How many neighbours each user shares with ``users[i]``, int64 by position, entry i its degree.
 
         If ``users[i]`` and its neighbours are light, one ``np.bincount`` of their lists counts. Else each count is
-        the bit count of the AND of ``users[i]``'s row with every row, read CHUNK_BYTES of rows at a time, and the
-        nonzero counts are kept.
+        the bit count of the AND of ``users[i]``'s row with every row, read CHUNK_BYTES of rows at a time.
         """
         if (light := self._light_lists(i)) is not None:
-            return nonzero_except(np.bincount(light[1], minlength=len(self.users)), i)
+            return np.bincount(light[1], minlength=len(self.users))
         words = self.rows.view(np.uint64)
-        counts = [row_counts(words[part] & words[i]) for part in row_slices(len(words), self.rows.shape[1])]
-        return nonzero_except(np.concatenate(counts), i)
+        return np.concatenate([row_counts(words[part] & words[i]) for part in row_slices(len(words), words[i].nbytes)])
 
     def pair_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the neighbours of ``users[i]``, ascending, and for each the larger count in ``edges`` of
@@ -120,8 +111,8 @@ class InteractionGraph:
         at = np.searchsorted(keys, query)
         return near, np.where(keys[at] == query, counts[at], 0).reshape(2, -1).max(axis=0)
 
-    def adamic_adar(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the users sharing a neighbour z with ``users[i]``, ascending, and their sums of 1 / ln deg(z).
+    def adamic_adar(self, i: int) -> np.ndarray:
+        """Each user's sum of 1 / ln deg(z) over the neighbours z it shares with ``users[i]``, float64 by position.
 
         z ascending adds each pair's terms in the oracle's order: ``np.bincount`` adds light lists in input order,
         packed rows add one += per block row (np.add.reduce would leave the order to numpy), and adding 0.0 leaves a
@@ -129,7 +120,7 @@ class InteractionGraph:
         """
         if (light := self._light_lists(i)) is not None:
             weights = self.aa_weights[light[0]].repeat(self.degrees[light[0]])  # z's weight for each entry of z's list
-            return nonzero_except(np.bincount(light[1], weights, len(self.users)), i)
+            return np.bincount(light[1], weights, len(self.users)).astype(float, copy=False)  # int64 when empty
         near, sums = self.neighbor_positions(i), np.zeros(len(self.users))
         near = near[self.degrees[near] > 1]
         for part in row_slices(len(near), sums.nbytes):  # blocks of unpacked float64 rows
@@ -137,7 +128,7 @@ class InteractionGraph:
             block *= self.aa_weights[near[part], None]  # float64 by float64 in place: faster than uint8 by float64
             for row in block:
                 sums += row
-        return nonzero_except(sums, i)
+        return sums
 
     def neighbors(self, user: str) -> frozenset[str]:
         """All users sharing an edge with ``user``; empty for isolated or unknown users."""

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, entity_sets
-from .graphs import InteractionGraph, build_colocation_graph, build_social_graph, nonzero_except
+from .graphs import InteractionGraph, build_colocation_graph, build_social_graph
 
 DEFAULT_K = 40
 CF_BLOCK_CELLS = 1 << 15  # what a kept CF block may hold: its sums and gathered entities, 256 KB of sums at most
@@ -139,9 +139,9 @@ class EntitySets(dict):
 
     The sets are the one home of their index: ``ids``, the sorted entity ids, so entity position i names ids[i];
     ``csr``, CSR ``indptr`` and int32 ``indices`` of users[i]'s entity positions in set order; and ``degrees``,
-    each user's entity count. Content k-NN reads ``degrees`` and ``shared_counts`` as it reads a graph's, and CF
-    reads ``keep_cf_sums``' blocks, ``cf_sums``, ``codes`` and ``ids``. Past ``__init__`` only ``keep_cf_sums``
-    assigns an attribute: it publishes its finished block whole, in one assignment, for ``cf_sums`` to find.
+    each user's entity count. Content k-NN reads ``degrees`` and ``shared_counts``' one count per user as it reads
+    a graph's, and CF reads ``keep_cf_sums``' blocks, ``cf_sums``, ``codes`` and ``ids``. Past ``__init__`` only
+    ``keep_cf_sums`` assigns an attribute: it publishes its finished block whole, in one assignment, for ``cf_sums``.
     """
 
     def __init__(self, sets: Mapping[str, frozenset[str]], users: Sequence[str]):
@@ -164,11 +164,11 @@ class EntitySets(dict):
         ends = np.bincount(indices, minlength=len(self.ids)).cumsum()
         return dict(zip(self.ids, np.split(held.astype(np.int32), ends[:-1])))
 
-    def shared_counts(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the users sharing an entity with ``users[t]``, ascending, and how many they share:
+    def shared_counts(self, t: int) -> np.ndarray:
+        """How many entities each user shares with ``users[t]``, int64 by position, entry t its own count:
         one ``np.bincount`` of the holders of the target's entities."""
         held = list(map(self.holders.__getitem__, self.get(self.users[t], ())))
-        return nonzero_except(np.bincount(np.concatenate(held) if held else held, minlength=len(self.users)), t)
+        return np.bincount(np.concatenate(held) if held else held, minlength=len(self.users))
 
     def cf_sums(self, slice_: SimilarityMatrixSlice) -> np.ndarray:
         """Each entity position's CF sum, the target's entities at 0: the slice's row of the latest block that
@@ -269,31 +269,29 @@ class SimilarityContext:
     def _scores(self, spec: FeatureSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in ``users`` of the users scoring above 0 against ``users[t]``, and their scores.
 
-        Every family reads one source, a graph or the entity sets, through its ``degrees`` and one kernel.
-        Each score is bit-identical to the definition in tests/oracles.py. ``directed`` is the larger of the
-        two one-directional counts, so that it yields a neighbourhood like every other feature.
+        Every family reads one source, a graph or the entity sets, through its ``degrees`` and one kernel. Each
+        kernel but ``directed``'s returns one entry per user, the target's own included, and one cut keeps the
+        other users' positive entries. Each score is bit-identical to the definition in tests/oracles.py.
+        ``directed`` is the larger of the two one-directional counts, so that it yields a neighbourhood like every
+        other feature; its kernel reads the target's neighbours only and returns them sparse.
         """
         source = self.entity_sets(spec.entity_kind) if spec.graph is None else self.graph(spec.graph)
         size = source.degrees
         n = int(size[t])
         if not n:
             return np.empty(0, np.intp), np.empty(0)
-        if spec.feature == "pa":
-            v = np.flatnonzero(size)
-            v = v[v != t]
-            return v, (n * size[v]).astype(float)
-        if spec.feature == "aa":
-            return source.adamic_adar(t)
-        # each c >= 1: users two hops away share a neighbour or an entity, and every neighbour interacted
-        v, c = source.pair_counts(t) if spec.feature == "directed" else source.shared_counts(t)
-        if spec.feature == "total":  # every other user scores n + its size, less what it shares: at least n
-            totals = n + size
-            totals[v] -= c
-            totals[t] = 0
-            v = np.flatnonzero(totals)
-            return v, totals[v].astype(float)
+        if spec.feature == "directed":  # each c >= 1: every neighbour interacted
+            v, c = source.pair_counts(t)
+        else:  # a new array from every kernel: the cut writes into it
+            kernel = source.adamic_adar if spec.feature == "aa" else source.shared_counts
+            c = n * size if spec.feature == "pa" else kernel(t)
+            if spec.feature == "total":  # every other user scores n + its size, less what it shares: at least n
+                c = n + size - c
+            c[t] = 0
+            v = np.flatnonzero(c)
+            c = c[v]
         if spec.feature == "jaccard":
             return v, c / (n + size[v] - c)
         if spec.feature == "no":
             return v, c / (n + size[v])
-        return v, c.astype(float)  # common, cn and directed
+        return v, c.astype(float)  # common, total, cn, aa, pa and directed

@@ -1,6 +1,7 @@
 """The package depends on the standard library and numpy only; only graphs.py reads packed graph rows and light
 neighbour lists, and only simfeatures.py reads the entity index of an EntitySets, which only __init__ and keep_cf_sums
-assign. No package line is wider than MAX_LINE, so its line count cannot fall by packing more onto a line."""
+assign. The count kernels return every user's entry and leave k-NN's cut to SimilarityContext._scores. No package
+line is wider than MAX_LINE, so its line count cannot fall by packing more onto a line."""
 
 import ast
 import sys
@@ -139,3 +140,25 @@ def test_only_init_and_keep_cf_sums_assign_entity_set_attributes():
     assert [line for name in sorted(methods.keys() - ENTITY_SETS_WRITERS) for line in assigned[name]] == []
     assert len(assigned["keep_cf_sums"]) == 1  # one assignment replaces the memo whole
     assert ENTITY_SETS_WRITERS <= methods.keys()  # the check knows the methods it exempts
+
+
+# k-NN's one cut of the positive entries is SimilarityContext._scores': the count kernels return every user's entry
+COUNT_KERNELS = {("graphs.py", "InteractionGraph"): {"shared_counts", "adamic_adar"},
+                 ("simfeatures.py", "EntitySets"): {"shared_counts"}}
+CUT_NAMES = {"nonzero_except", "flatnonzero", "nonzero"}
+
+
+def test_count_kernels_leave_the_cut_to_scores():
+    found, checked = [], set()
+    for (module, class_name), kernels in COUNT_KERNELS.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == class_name)
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name in kernels:
+                checked.add((class_name, method.name))
+                for node in ast.walk(method):
+                    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                    if name in CUT_NAMES:
+                        found.append(f"{module}:{node.lineno} {class_name}.{method.name} uses {name}")
+    assert found == []
+    assert checked == {(c, k) for (_, c), kernels in COUNT_KERNELS.items() for k in kernels}  # the kernels exist

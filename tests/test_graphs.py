@@ -249,16 +249,16 @@ def test_social_graph_matches_pair_counts(small_corpus):
 
 
 def shared_by_brute_force(graph, i):
-    """Positions two hops from users[i] and their shared neighbour counts, from neighbors() set intersections."""
+    """Every user's shared neighbour count with users[i], users[i]'s own degree included, from neighbors()."""
     own = graph.neighbors(graph.users[i])
-    shared = [(j, len(own & graph.neighbors(user))) for j, user in enumerate(graph.users) if j != i]
-    return [j for j, c in shared if c], [c for _, c in shared if c]
+    return [len(own & graph.neighbors(user)) for user in graph.users]
 
 
 def assert_shared_counts(graph, i):
-    positions, counts = graph.shared_counts(i)
-    assert positions.dtype == counts.dtype == np.int64
-    assert (positions.tolist(), counts.tolist()) == shared_by_brute_force(graph, i)
+    counts = graph.shared_counts(i)
+    assert counts.dtype == np.int64 and counts.shape == (len(graph.users),)
+    assert counts.tolist() == shared_by_brute_force(graph, i)
+    assert counts[i] == graph.degrees[i]
 
 
 # case -> (users, edges among positions). Target 0's neighbours are 1 and 2, so its degree · 8 ≥ U and its row
@@ -312,14 +312,14 @@ def oracle_adjacency(edges, groups):
 
 
 def oracle_aa(adj, users, i):
-    """(position, score) of every other user with a nonzero oracle aa score against users[i], ascending."""
-    scores = [(j, oracles.network_score(adj, users[i], other, "aa")) for j, other in enumerate(users) if j != i]
-    return [(j, score) for j, score in scores if score]
+    """Every user's oracle aa score against users[i], users[i] itself included: its sum over all its neighbours."""
+    return [oracles.network_score(adj, users[i], other, "aa") for other in users]
 
 
-def aa_pairs(graph, i):
-    positions, sums = graph.adamic_adar(i)
-    return list(zip(positions.tolist(), sums.tolist()))
+def aa_sums(graph, i):
+    sums = graph.adamic_adar(i)
+    assert sums.dtype == np.float64 and sums.shape == (len(graph.users),)
+    return sums.tolist()
 
 
 def kernel_path(graph, kernel, i):
@@ -351,7 +351,7 @@ def test_shared_counts_match_set_intersections_on_random_graphs(chunk):
             for i, target in enumerate(users):
                 assert_shared_counts(graph, i)
                 assert graph.neighbor_positions(i).tolist() == [users.index(v) for v in sorted(adj.get(target, ()))]
-                assert aa_pairs(graph, i) == oracle_aa(adj, users, i)
+                assert aa_sums(graph, i) == oracle_aa(adj, users, i)
                 path = kernel_path(graph, graph.adamic_adar, i)
                 assert kernel_path(graph, graph.shared_counts, i) == path
                 if adj.get(target):  # an isolated target reads an empty list, which shows little
@@ -383,7 +383,7 @@ def test_heavy_from_degree_times_8_equal_to_u(boundary_graph):
     for i, target in enumerate(users):
         assert graph.neighbor_positions(i).tolist() == [users.index(v) for v in sorted(adj.get(target, ()))]
         assert_shared_counts(graph, i)
-        assert aa_pairs(graph, i) == oracle_aa(adj, users, i)
+        assert aa_sums(graph, i) == oracle_aa(adj, users, i)
         paths[i] = kernel_path(graph, graph.adamic_adar, i)
         assert kernel_path(graph, graph.shared_counts, i) == paths[i]
     assert [paths[i] for i in (0, 1, 4, 5, 7, 8)] == ["packed rows"] * 2 + ["lists"] * 4
@@ -391,9 +391,10 @@ def test_heavy_from_degree_times_8_equal_to_u(boundary_graph):
 
 @pytest.mark.parametrize("i", [0, 4], ids=["heavy", "light"])
 def test_kernel_output_dtypes(boundary_graph, i):
-    """int64 positions on both paths: an int32 list would make pair_counts' keys i · U + near int32 arithmetic."""
+    """int64 positions on both paths: an int32 list would make pair_counts' keys i · U + near int32 arithmetic.
+    The count kernels return one int64 count or float64 sum per user on both paths."""
     graph = boundary_graph
     assert graph.neighbor_positions(i).dtype == np.int64
-    assert [a.dtype for a in graph.shared_counts(i)] == [np.int64, np.int64]
-    assert [a.dtype for a in graph.adamic_adar(i)] == [np.int64, np.float64]
+    for kernel, dtype in [(graph.shared_counts, np.int64), (graph.adamic_adar, np.float64)]:
+        assert kernel(i).dtype == dtype and kernel(i).shape == (len(graph.users),)
     assert [a.dtype for a in graph.pair_counts(i)] == [np.int64, np.int64]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marketrec import graphs, simfeatures
-from marketrec.corpus import ENTITY_KINDS, load_corpus
+from marketrec.corpus import ENTITY_KINDS, LocationRecord, Purchase, SocialInteraction, load_corpus
 from marketrec.recommender import cf_categories, cf_products
 from marketrec.simfeatures import (
     ALL_FEATURE_IDS,
@@ -548,16 +548,17 @@ def test_entity_set_holders_transpose_positions(small_corpus, kind):
 
 @pytest.mark.parametrize("kind", ENTITY_KINDS)
 def test_entity_set_shared_counts_match_set_intersections(small_corpus, kind):
-    """A seeded sample of targets and one user holding no entity, against |sets[u] & sets[target]| for every u."""
+    """A seeded sample of targets and one user holding no entity, against |sets[u] & sets[target]| for every u, the
+    target included."""
     corpus = dataclasses.replace(small_corpus, users=small_corpus.users | {"zz-no-entities"})
     sets = SimilarityContext(corpus).entity_sets(kind)
     users = sets.users
     for t in [*random.Random(7).sample(range(len(users)), 10), users.index("zz-no-entities")]:
         own = sets.get(users[t], frozenset())
-        shared = [(u, len(sets.get(user, frozenset()) & own)) for u, user in enumerate(users) if u != t]
-        positions, counts = sets.shared_counts(t)
-        assert positions.dtype == counts.dtype == np.int64
-        assert list(zip(positions.tolist(), counts.tolist())) == [(u, c) for u, c in shared if c]
+        counts = sets.shared_counts(t)
+        assert counts.dtype == np.int64 and counts.shape == (len(users),)
+        assert counts.tolist() == [len(sets.get(user, frozenset()) & own) for user in users]
+        assert counts[t] == len(own) == sets.degrees[t]
 
 
 @pytest.mark.parametrize(
@@ -709,3 +710,42 @@ def test_k_nearest_equals_exact_pairwise_ranking(planted_context, feature_id):
         expected = oracle_knn(users, target, len(users), scorer)
         for k in sorted({1, len(expected) // 2 + 1, DEFAULT_K, len(expected) + 1}):
             assert planted_context.k_nearest(feature_id, target, k).scored == expected[:k]
+
+
+def test_k_nearest_leaves_its_sources_as_built(planted_corpus):
+    """The cut writes 0 into entry t of each kernel's vector, so a kernel or ``pa`` branch that handed back a
+    source array would corrupt it silently: after k-NN over all 35 ids for a hub member, an isolated user and a few
+    random targets, every graph and entity-set array equals its copy from before."""
+    hub, users = "zz-hub", sorted(planted_corpus.users)
+    corpus = dataclasses.replace(
+        planted_corpus,
+        purchases=planted_corpus.purchases + tuple(Purchase(hub, p) for p in sorted(planted_corpus.products)[:30]),
+        social=planted_corpus.social + tuple(SocialInteraction(hub, user, "love") for user in users[::3]),
+        locations=planted_corpus.locations
+        + tuple(LocationRecord(user, "l-hub", "monitored", "e-hub") for user in [hub, *users[::4]]),
+        users=planted_corpus.users | {hub, IDLE_USER},
+    )
+    context = SimilarityContext(corpus)
+    graphs_ = {name: context.graph(name) for name in ("social", "colocation")}
+    sets = {kind: context.entity_sets(kind) for kind in ENTITY_KINDS}
+    t = context.users.index(hub)
+    assert not any(graph.light[t] for graph in graphs_.values())  # the hub's rows are heavy: packed kernels run
+
+    def arrays():
+        found = {}
+        for name, graph in graphs_.items():
+            for attr in ("degrees", "aa_weights", "rows", "list_starts", "list_positions"):
+                found[name, attr] = getattr(graph, attr).copy()
+        for kind, entity_sets in sets.items():
+            found[kind, "degrees"] = entity_sets.degrees.copy()
+            found[kind, "indptr"], found[kind, "indices"] = (a.copy() for a in entity_sets.csr)
+            found.update({(kind, "holders", entity): held.copy() for entity, held in entity_sets.holders.items()})
+        return found
+
+    before = arrays()
+    for target in [hub, IDLE_USER, *random.Random(5).sample(users, 4)]:
+        for feature_id in ALL_FEATURE_IDS:
+            context.k_nearest(feature_id, target, len(users))
+    after = arrays()
+    assert after.keys() == before.keys()
+    assert [key for key, array in before.items() if not np.array_equal(after[key], array)] == []
